@@ -38,15 +38,15 @@ echo "== crash chaos smoke (process-kill quadrant: journal resume is lossless) =
 # whole matrix renders byte-identically across two builds.
 cargo run -q --release -p mlperf-harness --bin chaos -- --crash --check > /dev/null
 
-echo "== netbench loopback smoke (network SUT: tracing + telemetry + interop) =="
+echo "== netbench loopback smoke (network SUT: tracing + telemetry) =="
 # Single-process wire smoke: a serving daemon and a RemoteSut client on a
 # loopback socket run the scaled-down offline + server pair twice, asserting
 # every run is VALID, the logical detail log (deterministic per-query
 # fields) renders byte-identically across connections under the fixed seed,
 # the merged client+server detail log passes the TEST06 completeness audit
 # with at least one end-to-end trace (client issue -> server compute ->
-# client complete under one trace id), the daemon's live stats snapshot
-# parses, and a v2-pinned client still interoperates with the v3 daemon.
+# client complete under one trace id), and the daemon's live stats
+# snapshot parses.
 cargo run -q --release -p mlperf-harness --bin netbench -- --loopback --stats --check
 
 echo "== netbench fleet smoke (sharded serving survives losing a shard) =="

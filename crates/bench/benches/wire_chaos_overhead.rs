@@ -18,7 +18,7 @@ use mlperf_loadgen::query::{ResponsePayload, SampleCompletion};
 use mlperf_loadgen::realtime::run_realtime;
 use mlperf_loadgen::sut::SleepSut;
 use mlperf_loadgen::time::Nanos;
-use mlperf_wire::frame::{open, seal};
+use mlperf_trace::codec::{open, seal};
 use mlperf_wire::message::Message;
 use mlperf_wire::{loopback, RemoteSut, RemoteSutConfig, ServeConfig, WireChaosPlan};
 use std::hint::black_box;

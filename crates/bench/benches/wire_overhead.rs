@@ -38,12 +38,15 @@ fn main() {
         black_box(Message::decode(&bytes).expect("roundtrip"))
     });
 
-    let issue = Message::Issue(Query {
-        id: 42,
-        samples: (0..32).map(|i| QuerySample { id: i, index: 0 }).collect(),
-        scheduled_at: Nanos::from_millis(3),
-        tenant: 0,
-    });
+    let issue = Message::IssueTraced {
+        trace_id: 0x7AC3,
+        query: Query {
+            id: 42,
+            samples: (0..32).map(|i| QuerySample { id: i, index: 0 }).collect(),
+            scheduled_at: Nanos::from_millis(3),
+            tenant: 0,
+        },
+    };
     bench.bench("wire_issue_encode_decode", || {
         let bytes = issue.encode();
         black_box(Message::decode(&bytes).expect("roundtrip"))

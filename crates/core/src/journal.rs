@@ -31,22 +31,12 @@ use crate::config::TestSettings;
 use crate::record::RecorderSnapshot;
 use crate::time::Nanos;
 use crate::LoadGenError;
+use mlperf_trace::codec::fnv1a64;
 use mlperf_trace::journal::{read_journal, JournalWriter, TornTail};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit, for the settings digest. Same constants as the detail
-/// log's logical hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Digest of everything about a run's configuration that resume
 /// correctness depends on. A journal may only resume a run whose settings

@@ -44,8 +44,7 @@
 //! connections and asserts every run is VALID, the two logical logs render
 //! to identical bytes, the merged log passes the TEST06 completeness audit
 //! with no accuracy events and at least one end-to-end trace, the stats
-//! snapshot parses (with `--stats`), and a v2-pinned client still
-//! completes a VALID run against the v3 daemon.
+//! snapshot parses (with `--stats`).
 
 use mlperf_audit::tests::completeness_report;
 use mlperf_audit::AuditOutcome;
@@ -350,44 +349,6 @@ fn check_summaries(summaries: &[RunSummary]) -> Vec<String> {
         }
     }
     failures
-}
-
-/// One VALID run with the client pinned to protocol v2 proves the daemon
-/// still interoperates with un-upgraded peers.
-fn check_v2_interop(addr: &str, seed: u64) -> Option<String> {
-    let seeds = SeedTriple::from_master(seed ^ 0x7632); // "v2"
-    let settings = TestSettings::offline()
-        .with_offline_min_sample_count(128)
-        .with_min_duration(Nanos::from_millis(1))
-        .with_seeds(seeds);
-    let mut qsl = MemoryQsl::new("netbench-qsl", 64, 64);
-    let config = RemoteSutConfig::default().with_protocol(2);
-    let hello = RemoteSut::hello_for(&settings, qsl.total_sample_count() as u64, &config);
-    let client = match RemoteSut::connect(addr, hello, config) {
-        Ok(client) => client,
-        Err(e) => return Some(format!("v2 interop: handshake failed: {e}")),
-    };
-    if client.negotiated_version() != 2 {
-        return Some(format!(
-            "v2 interop: negotiated v{} instead of v2",
-            client.negotiated_version()
-        ));
-    }
-    let origin = client.clock_origin();
-    match run_realtime_traced_at(
-        &settings,
-        &mut qsl,
-        Arc::new(client),
-        &mlperf_trace::NoopSink,
-        origin,
-    ) {
-        Ok(out) if out.result.is_valid() => None,
-        Ok(out) => Some(format!(
-            "v2 interop: run INVALID: {:?}",
-            out.result.validity
-        )),
-        Err(e) => Some(format!("v2 interop: run failed: {e}")),
-    }
 }
 
 /// Renders one live stats line from a daemon snapshot.
@@ -1136,11 +1097,10 @@ fn main() -> ExitCode {
             }
             Err(e) => failures.push(e),
         }
-        failures.extend(check_v2_interop(&addr, seed));
         if failures.is_empty() {
             println!(
                 "netbench check: OK (runs VALID, logical log byte-stable, merged log \
-complete with end-to-end traces, v2 interop VALID)"
+complete with end-to-end traces)"
             );
         } else {
             for f in &failures {

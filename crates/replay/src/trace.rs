@@ -6,10 +6,11 @@
 //! reference fingerprint, and enough of the original run's settings to
 //! rebuild a [`TestSettings`] whose validity rules match the recording.
 //!
-//! The on-disk format is hand-rolled the way the wire codec is: a `MLPR`
-//! magic, a version, big-endian fixed-width integers, IEEE-754 bit
-//! patterns for floats, length-prefixed UTF-8 strings, and a trailing
-//! CRC-32 over everything before it. Encoding is a pure function of the
+//! The on-disk format goes through the shared byte codec
+//! ([`mlperf_trace::codec`]), as wire frames do: a `MLPR` magic, a
+//! version, big-endian fixed-width integers, IEEE-754 bit patterns for
+//! floats, length-prefixed UTF-8 strings, and a trailing CRC-32 over
+//! everything before it. Encoding is a pure function of the
 //! struct — byte-reproducibility of the whole record→reduce pipeline
 //! rests on that, so nothing here consults clocks, hashes maps, or pads.
 
@@ -17,15 +18,16 @@ use crate::fingerprint::TraceFingerprint;
 use mlperf_loadgen::replay::ReplaySchedule;
 use mlperf_loadgen::{Nanos, Scenario, TestSettings};
 use mlperf_stats::Percentile;
+use mlperf_trace::codec::{crc32, ByteReader, ByteWriter, DecodeError};
 use std::fmt;
 
 /// File magic: the first four bytes of every recorded trace.
 pub const MAGIC: [u8; 4] = *b"MLPR";
 /// Current format version.
 pub const VERSION: u16 = 1;
-/// Sanity cap on the decoded query count (1 billion queries ≈ 30 GB —
-/// anything larger is a corrupt length, not a workload).
-const MAX_QUERIES: u32 = 1_000_000_000;
+/// Minimum encoded size of one query: delta, latency, error flag, and
+/// index count. Bounds the query count before anything is allocated.
+const MIN_QUERY_LEN: usize = 8 + 8 + 1 + 4;
 
 /// One recorded query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,8 +91,8 @@ pub enum CodecError {
         /// Checksum of the actual bytes.
         got: u32,
     },
-    /// A structurally impossible value (bad scenario code, oversized
-    /// count, non-UTF-8 string).
+    /// A structurally impossible value (bad scenario code, non-UTF-8
+    /// string, trailing bytes).
     Malformed(String),
 }
 
@@ -115,35 +117,13 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC-32 (IEEE 802.3), table generated at compile time. Same polynomial
-/// as the wire frame codec; duplicated here so the trace format does not
-/// drag in the transport layer.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { need, have, .. } => CodecError::Truncated { need, have },
+            other => CodecError::Malformed(other.to_string()),
         }
-        table[i] = crc;
-        i += 1;
     }
-    table
-};
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
 }
 
 fn scenario_code(s: Scenario) -> u8 {
@@ -165,52 +145,6 @@ fn scenario_from_code(code: u8) -> Result<Scenario, CodecError> {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Truncated {
-                need: n,
-                have: self.buf.len() - self.pos,
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError::Malformed("non-UTF-8 string".into()))
-    }
-}
-
 impl RecordedTrace {
     /// Encodes the trace to its canonical byte form.
     ///
@@ -218,30 +152,30 @@ impl RecordedTrace {
     /// audit's byte-reproducibility checks compare these directly.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.queries.len() * 24);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_be_bytes());
-        out.push(scenario_code(self.scenario));
-        out.push(u8::from(self.synthetic_indices));
-        out.extend_from_slice(&self.population.to_be_bytes());
-        out.extend_from_slice(&self.samples_per_query.to_be_bytes());
-        out.extend_from_slice(&self.target_latency_ns.to_be_bytes());
-        out.extend_from_slice(&self.target_percentile.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.server_target_qps.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.max_error_fraction.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.interval_ns.to_be_bytes());
-        out.extend_from_slice(&(self.source.len() as u32).to_be_bytes());
-        out.extend_from_slice(self.source.as_bytes());
-        out.extend_from_slice(&(self.queries.len() as u32).to_be_bytes());
+        let mut w = ByteWriter::with_capacity(64 + self.queries.len() * 24);
+        w.put_bytes(&MAGIC);
+        w.put_u16(VERSION);
+        w.put_u8(scenario_code(self.scenario));
+        w.put_u8(u8::from(self.synthetic_indices));
+        w.put_u64(self.population);
+        w.put_u32(self.samples_per_query);
+        w.put_u64(self.target_latency_ns);
+        w.put_f64(self.target_percentile);
+        w.put_f64(self.server_target_qps);
+        w.put_f64(self.max_error_fraction);
+        w.put_u64(self.interval_ns);
+        w.put_str(&self.source);
+        w.put_count(self.queries.len());
         for q in &self.queries {
-            out.extend_from_slice(&q.delta_ns.to_be_bytes());
-            out.extend_from_slice(&q.latency_ns.unwrap_or(u64::MAX).to_be_bytes());
-            out.push(u8::from(q.error));
-            out.extend_from_slice(&(q.indices.len() as u32).to_be_bytes());
+            w.put_u64(q.delta_ns);
+            w.put_u64(q.latency_ns.unwrap_or(u64::MAX));
+            w.put_u8(u8::from(q.error));
+            w.put_count(q.indices.len());
             for &i in &q.indices {
-                out.extend_from_slice(&i.to_be_bytes());
+                w.put_u32(i);
             }
         }
+        let mut out = w.into_bytes();
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_be_bytes());
         out
@@ -270,37 +204,31 @@ impl RecordedTrace {
         if expect != got {
             return Err(CodecError::BadCrc { expect, got });
         }
-        let mut r = Reader {
-            buf: body,
-            pos: MAGIC.len(),
-        };
-        let version = r.u16()?;
+        let mut r = ByteReader::new(&body[MAGIC.len()..]);
+        let version = r.get_u16()?;
         if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
-        let scenario = scenario_from_code(r.u8()?)?;
-        let synthetic_indices = r.u8()? != 0;
-        let population = r.u64()?;
-        let samples_per_query = r.u32()?;
-        let target_latency_ns = r.u64()?;
-        let target_percentile = r.f64()?;
-        let server_target_qps = r.f64()?;
-        let max_error_fraction = r.f64()?;
-        let interval_ns = r.u64()?;
-        let source = r.string()?;
-        let count = r.u32()?;
-        if count > MAX_QUERIES {
-            return Err(CodecError::Malformed(format!("query count {count}")));
-        }
-        let mut queries = Vec::with_capacity(count as usize);
+        let scenario = scenario_from_code(r.get_u8()?)?;
+        let synthetic_indices = r.get_u8()? != 0;
+        let population = r.get_u64()?;
+        let samples_per_query = r.get_u32()?;
+        let target_latency_ns = r.get_u64()?;
+        let target_percentile = r.get_f64()?;
+        let server_target_qps = r.get_f64()?;
+        let max_error_fraction = r.get_f64()?;
+        let interval_ns = r.get_u64()?;
+        let source = r.get_str()?;
+        let count = r.get_count(MIN_QUERY_LEN)?;
+        let mut queries = Vec::with_capacity(count);
         for _ in 0..count {
-            let delta_ns = r.u64()?;
-            let latency = r.u64()?;
-            let error = r.u8()? != 0;
-            let index_count = r.u32()? as usize;
+            let delta_ns = r.get_u64()?;
+            let latency = r.get_u64()?;
+            let error = r.get_u8()? != 0;
+            let index_count = r.get_count(4)?;
             let mut indices = Vec::with_capacity(index_count);
             for _ in 0..index_count {
-                indices.push(r.u32()?);
+                indices.push(r.get_u32()?);
             }
             queries.push(RecordedQuery {
                 delta_ns,
@@ -309,12 +237,7 @@ impl RecordedTrace {
                 indices,
             });
         }
-        if r.pos != body.len() {
-            return Err(CodecError::Malformed(format!(
-                "{} trailing bytes after the last query",
-                body.len() - r.pos
-            )));
-        }
+        r.finish()?;
         Ok(RecordedTrace {
             scenario,
             source,
@@ -496,6 +419,24 @@ mod tests {
             RecordedTrace::decode(&wrong_version),
             Err(CodecError::BadVersion(99))
         );
+    }
+
+    /// A CRC-valid file whose query count claims far more queries than
+    /// its bytes can hold is a structured error, not a huge allocation.
+    #[test]
+    fn oversized_query_count_is_rejected_before_allocation() {
+        let mut bytes = sample_trace(1).encode();
+        // The count sits after the fixed header and the 4-byte "test" source.
+        let count_at = 60 + 4 + 4;
+        assert_eq!(bytes[count_at..count_at + 4], 1u32.to_be_bytes());
+        bytes[count_at..count_at + 4].copy_from_slice(&999_999_999u32.to_be_bytes());
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]).to_be_bytes();
+        bytes[body_len..].copy_from_slice(&crc);
+        assert!(matches!(
+            RecordedTrace::decode(&bytes),
+            Err(CodecError::Truncated { have: 25, .. })
+        ));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::engine::{BatchPolicy, DeviceSut};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
 use mlperf_models::{TaskId, Workload};
+use mlperf_trace::codec::fnv1a64;
 
 /// Deployment segment, which drives which tasks and scenarios a system's
 /// vendor cares to submit (Section VI-A: submitters pick subsets).
@@ -123,7 +124,7 @@ impl FleetSystem {
             }
             _ => BatchPolicy::Immediate,
         };
-        let seed = 0xf1ee_7000 ^ fnv(self.spec.name.as_bytes());
+        let seed = 0xf1ee_7000 ^ fnv1a64(self.spec.name.as_bytes());
         let sut = DeviceSut::new(spec, workload, policy).with_seed(seed);
         if scenario == Scenario::Offline {
             sut.with_length_sorting()
@@ -131,15 +132,6 @@ impl FleetSystem {
             sut
         }
     }
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The full fleet, ordered roughly from smallest to largest.

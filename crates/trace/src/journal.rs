@@ -7,7 +7,10 @@
 //! arbitrary kill timing, so both share this one format — `MLPJ`, the
 //! journal sibling of the `MLPR` recorded-trace codec: a 4-byte magic and
 //! big-endian `u16` version header, then frames of
-//! `u32 length ‖ u32 CRC-32(payload) ‖ payload`.
+//! `u32 length ‖ u32 CRC-32(payload) ‖ payload`. The checksum is
+//! [`crate::codec::crc32`], shared with every other binary format; the
+//! frame scan stays here because MLPJ alone salvages a torn tail, and its
+//! length prefix excludes the CRC where the wire frame's includes it.
 //!
 //! The durability contract is the classic WAL one:
 //!
@@ -24,8 +27,10 @@
 //!   valid frame, so a restarted process continues the same journal.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+use crate::codec::crc32;
 
 /// File magic: the first four bytes of every run journal.
 pub const MAGIC: [u8; 4] = *b"MLPJ";
@@ -38,37 +43,6 @@ const FRAME_HEADER_LEN: usize = 8;
 /// Sanity cap on a decoded frame length (a checkpoint is kilobytes; 256 MiB
 /// is a corrupt length field, not a record).
 const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
-
-/// CRC-32 (IEEE 802.3), table generated at compile time. Deliberately
-/// duplicated per crate (wire, replay, here) so each codec stays
-/// self-contained and dependency-free.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// A journal (or detail log) whose final record was cut mid-write.
 ///
@@ -199,9 +173,16 @@ fn scan_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, Option<TornTail>) {
 /// Returns [`JournalError`] only when the file cannot be read or its
 /// header is not a journal's.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalScan, JournalError> {
-    let mut file = File::open(path.as_ref())?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
+    parse_journal(&std::fs::read(path.as_ref())?)
+}
+
+/// [`read_journal`] over bytes already in memory.
+///
+/// # Errors
+///
+/// Returns [`JournalError::BadMagic`] / [`JournalError::BadVersion`] when
+/// the header is not a journal's.
+pub fn parse_journal(bytes: &[u8]) -> Result<JournalScan, JournalError> {
     if bytes.len() < HEADER_LEN as usize || bytes[..4] != MAGIC {
         return Err(JournalError::BadMagic);
     }

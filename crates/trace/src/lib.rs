@@ -22,6 +22,11 @@
 //!   [`event::TraceSink`] trait, and the built-in sinks
 //!   ([`event::NoopSink`], [`event::RingBufferSink`],
 //!   [`event::JsonlSink`]).
+//! * [`codec`] — the one byte codec every binary format shares: CRC-32,
+//!   [`codec::seal`]/[`codec::open`], FNV-1a, and the big-endian
+//!   [`codec::ByteWriter`]/[`codec::ByteReader`] with one
+//!   [`codec::DecodeError`]. Wire frames, `MLPR` traces, and `MLPJ`
+//!   journals all encode through it.
 //! * [`chrome`] — [`chrome::chrome_trace_json`], converting a recorded
 //!   event stream into a `chrome://tracing` / Perfetto-loadable timeline.
 //! * [`flight`] — [`flight::FlightRecorder`], a bounded ring of recent
@@ -67,6 +72,7 @@
 
 pub mod bench;
 pub mod chrome;
+pub mod codec;
 pub mod event;
 pub mod flight;
 pub mod journal;

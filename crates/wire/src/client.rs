@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -43,12 +43,12 @@ use mlperf_trace::metrics::MetricsRegistry;
 
 use crate::clock::{ClockEstimator, ClockSample};
 use crate::frame::WireError;
-use crate::message::{Hello, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::message::{Hello, Message, PROTOCOL_VERSION};
 use crate::transport::{splitmix64, ChaosSession, TcpTransport, Transport, WireChaosPlan};
 
 /// How long [`RemoteSut::shutdown`] waits for the server's drained
 /// goodbye (and the event shipment that precedes it) before closing the
-/// socket regardless. Only applies on v3 links with a trace sink.
+/// socket regardless. Only applies when a trace sink is attached.
 const GOODBYE_WAIT: Duration = Duration::from_secs(2);
 
 /// How a [`RemoteSut`] reconnects after a severed link.
@@ -89,11 +89,6 @@ pub struct RemoteSutConfig {
     /// Client-side wire chaos plan, for fault-injection testing. `None`
     /// (or a disarmed plan) leaves the transport untouched.
     pub chaos: Option<WireChaosPlan>,
-    /// Protocol version to offer in the handshake. Defaults to
-    /// [`PROTOCOL_VERSION`]; set to an older supported version (e.g. `2`)
-    /// to interoperate with a daemon that has not been upgraded. Trace
-    /// propagation, clock probes, and event shipping need v3.
-    pub protocol: u16,
     /// Wire epoch to open the session at. `0` (the default) starts a
     /// fresh session; a nonzero value re-adopts the session's server-side
     /// completion journal, exactly as an in-process reconnect would —
@@ -111,7 +106,6 @@ impl Default for RemoteSutConfig {
             heartbeat_grace: Duration::from_secs(2),
             resume: None,
             chaos: None,
-            protocol: PROTOCOL_VERSION,
             initial_epoch: 0,
         }
     }
@@ -151,13 +145,6 @@ impl RemoteSutConfig {
     #[must_use]
     pub fn with_chaos(mut self, plan: WireChaosPlan) -> Self {
         self.chaos = Some(plan);
-        self
-    }
-
-    /// Offers an older protocol version in the handshake.
-    #[must_use]
-    pub fn with_protocol(mut self, version: u16) -> Self {
-        self.protocol = version;
         self
     }
 
@@ -211,9 +198,8 @@ struct Pending {
     sent_at: Instant,
     /// Kept for replay: a resumed link re-sends every in-flight query.
     query: Query,
-    /// Trace context carried by the issue frame; `0` on a v2 link. A
-    /// replay re-sends the *same* id, so the merged log stays exactly-once
-    /// per trace.
+    /// Trace context carried by the issue frame. A replay re-sends the
+    /// *same* id, so the merged log stays exactly-once per trace.
     trace_id: u64,
 }
 
@@ -238,8 +224,6 @@ struct ClientShared {
     stopping: AtomicBool,
     sink: Option<Arc<dyn TraceSink>>,
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Protocol version both ends agreed on at the handshake.
-    negotiated: AtomicU16,
     /// Live wire epoch, mirrored for journal checkpoints: bumped on every
     /// reconnect, read (lock-free) each time a checkpoint is captured.
     epoch_watch: Arc<AtomicU32>,
@@ -254,15 +238,9 @@ impl ClientShared {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Whether the negotiated protocol carries trace context (v3+).
-    fn traced(&self) -> bool {
-        self.negotiated.load(Ordering::SeqCst) >= 3
-    }
-
     /// Deterministic trace id for one wire query: a resumed session
     /// replays in-flight queries under the *same* ids, so the merged log
-    /// stays exactly-once per trace. Never returns 0 (the untraced
-    /// sentinel).
+    /// stays exactly-once per trace. Never returns 0.
     fn trace_id_for(&self, query_id: u64) -> u64 {
         let id = splitmix64(self.base_hello.session ^ splitmix64(query_id ^ 0x7261_6365)); // "race"
         if id == 0 {
@@ -272,11 +250,8 @@ impl ClientShared {
         }
     }
 
-    /// Records one client-side span into the trace sink (no-op untraced).
+    /// Records one client-side span into the trace sink.
     fn span_event(&self, ts_ns: u64, trace_id: u64, query_id: u64, phase: &str, dur_ns: u64) {
-        if trace_id == 0 {
-            return;
-        }
         if let Some(sink) = &self.sink {
             if sink.enabled() {
                 sink.record(
@@ -411,8 +386,8 @@ impl ClientShared {
 }
 
 /// A freshly dialed, handshaken link: writer half, reader half, the peer
-/// address, the server's SUT name, and the negotiated protocol version.
-type DialedLink = (Box<dyn Transport>, Box<dyn Transport>, String, String, u16);
+/// address, and the server's SUT name.
+type DialedLink = (Box<dyn Transport>, Box<dyn Transport>, String, String);
 
 /// Dials `addrs` in order and performs the versioned handshake over the
 /// (optionally chaos-wrapped) transport.
@@ -454,16 +429,14 @@ fn dial(
                 )))
             }
         };
-        // The server answers at a version no newer than what we offered
-        // and no older than the floor both sides support.
-        if !(MIN_PROTOCOL_VERSION..=hello.version).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(WireError::VersionMismatch {
-                ours: hello.version,
+                ours: PROTOCOL_VERSION,
                 theirs: version,
             });
         }
         let reader = transport.try_clone()?;
-        return Ok((transport, reader, peer, sut_name, version));
+        return Ok((transport, reader, peer, sut_name));
     }
     Err(last_err)
 }
@@ -526,8 +499,7 @@ impl RemoteSut {
             .clone()
             .map(|plan| Arc::new(ChaosSession::new(plan, "client", sink.clone())));
 
-        let (writer, reader_transport, peer, sut_name, negotiated) =
-            dial(&addrs, &hello, chaos.as_ref())?;
+        let (writer, reader_transport, peer, sut_name) = dial(&addrs, &hello, chaos.as_ref())?;
         let epoch0 = hello.epoch;
 
         let shared = Arc::new(ClientShared {
@@ -550,20 +522,17 @@ impl RemoteSut {
             stopping: AtomicBool::new(false),
             sink,
             metrics,
-            negotiated: AtomicU16::new(negotiated),
             estimator: ClockEstimator::new(),
             probe_seq: AtomicU64::new(0),
         });
         shared.wire_event(
             "handshake",
             0,
-            &format!("peer={peer} sut={sut_name} v{negotiated}"),
+            &format!("peer={peer} sut={sut_name} v{PROTOCOL_VERSION}"),
         );
         // First clock sample right away, so even a short run gets an
         // aligned axis; heartbeats keep tightening it.
-        if shared.traced() {
-            shared.send_probe();
-        }
+        shared.send_probe();
 
         let reader = {
             let shared = Arc::clone(&shared);
@@ -600,7 +569,7 @@ impl RemoteSut {
                 ^ splitmix64(qsl_size ^ ((settings.scenario as u64) << 56)),
         );
         Hello {
-            version: config.protocol,
+            version: PROTOCOL_VERSION,
             scenario: settings.scenario,
             seeds: settings.seeds,
             qsl_size,
@@ -614,11 +583,6 @@ impl RemoteSut {
     /// The peer address this client connected to.
     pub fn peer(&self) -> &str {
         &self.peer
-    }
-
-    /// The protocol version both ends agreed on at the handshake.
-    pub fn negotiated_version(&self) -> u16 {
-        self.shared.negotiated.load(Ordering::SeqCst)
     }
 
     /// The session id identifying this run's journal on the server.
@@ -673,10 +637,10 @@ impl RemoteSut {
         if self.is_connected() {
             let _ = self.shared.send(&Message::Drain);
             self.shared.wire_event("drain", 0, "");
-            // On a traced link with a sink attached, the server ships its
-            // spans and a goodbye after draining; wait (bounded) so the
-            // merged log actually gets them before the socket closes.
-            if self.shared.sink.is_some() && self.shared.traced() {
+            // With a sink attached, the server ships its spans and a
+            // goodbye after draining; wait (bounded) so the merged log
+            // actually gets them before the socket closes.
+            if self.shared.sink.is_some() {
                 let deadline = Instant::now() + GOODBYE_WAIT;
                 let mut st = self
                     .shared
@@ -793,11 +757,7 @@ impl RealtimeSut for RemoteSut {
         // register ourselves before the frame leaves so a fast reply
         // cannot race past the routing table. A `Down` link still admits
         // registrations — the reconnect replays them.
-        let trace_id = if shared.traced() {
-            shared.trace_id_for(query.id)
-        } else {
-            0
-        };
+        let trace_id = shared.trace_id_for(query.id);
         let rx = {
             let mut st = shared.state.lock().expect("wire client state poisoned");
             loop {
@@ -825,7 +785,10 @@ impl RealtimeSut for RemoteSut {
         // Best-effort: a send failure severs or fails the link. Severed,
         // our pending entry survives and the resume replay re-sends it;
         // failed, `fail` already resolved our channel.
-        let _ = shared.send(&issue_message(query.clone(), trace_id));
+        let _ = shared.send(&Message::IssueTraced {
+            trace_id,
+            query: query.clone(),
+        });
 
         match rx.recv_timeout(shared.config.response_timeout) {
             Ok(Reply::Completion { error, samples }) => {
@@ -864,16 +827,6 @@ impl RealtimeSut for RemoteSut {
                 }
             }
         }
-    }
-}
-
-/// The issue frame for one query: trace context attached when the link
-/// negotiated v3, the plain v2 frame otherwise.
-fn issue_message(query: Query, trace_id: u64) -> Message {
-    if trace_id != 0 {
-        Message::IssueTraced { trace_id, query }
-    } else {
-        Message::Issue(query)
     }
 }
 
@@ -934,11 +887,8 @@ fn reader_loop(shared: &Arc<ClientShared>, mut transport: Box<dyn Transport>) {
                     }
                 }
             }
-            Ok(Message::HeartbeatAck { .. }) => {
-                *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
-            }
             Ok(Message::ClockProbeAck { seq: _, t0, t1, t2 }) => {
-                // A probe ack is as good as a heartbeat ack for liveness.
+                // The probe is the heartbeat: its ack refreshes liveness.
                 *shared.last_pong.lock().expect("last pong poisoned") = Instant::now();
                 let sample = ClockSample {
                     t0,
@@ -1079,7 +1029,7 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
             hello.resume = true;
             hello
         };
-        let (writer, reader, _peer, _name, _version) =
+        let (writer, reader, _peer, _name) =
             match dial(&shared.addrs, &hello, shared.chaos.as_ref()) {
                 Ok(parts) => parts,
                 Err(e) => {
@@ -1127,14 +1077,15 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
         );
         // A fresh link means a fresh network path: re-probe the clock so
         // the estimate reflects it.
-        if shared.traced() {
-            shared.send_probe();
-        }
+        shared.send_probe();
         // Replay the in-flight window under the *same* trace ids; the
         // server dedups by wire id, so a query that also made it out the
         // first time is served once and traced once.
         for (query, trace_id) in replay {
-            if shared.send(&issue_message(query, trace_id)).is_err() {
+            if shared
+                .send(&Message::IssueTraced { trace_id, query })
+                .is_err()
+            {
                 break; // the new link died already; the reader will retry
             }
         }
@@ -1143,10 +1094,10 @@ fn reconnect(shared: &Arc<ClientShared>, policy: ResumePolicy) -> Option<Box<dyn
     None
 }
 
-/// Pings the server every `heartbeat_interval`; a completion or ack
-/// refreshes `last_pong`. `heartbeat_grace` of silence severs the link
-/// (resume armed — the reader reconnects) or fails the run as errored, so
-/// blocked issuers resolve instead of hanging.
+/// Probes the server's clock every `heartbeat_interval`; a completion or
+/// probe ack refreshes `last_pong`. `heartbeat_grace` of silence severs
+/// the link (resume armed — the reader reconnects) or fails the run as
+/// errored, so blocked issuers resolve instead of hanging.
 fn heartbeat_loop(shared: &Arc<ClientShared>) {
     let mut seq: u64 = 0;
     loop {
@@ -1165,15 +1116,11 @@ fn heartbeat_loop(shared: &Arc<ClientShared>) {
             }
         }
         seq += 1;
-        // On a traced link every heartbeat doubles as a clock probe: the
-        // ack refreshes liveness *and* can tighten the offset estimate.
-        let ping = if shared.traced() {
-            Message::ClockProbe {
-                seq,
-                t0: shared.now_ns(),
-            }
-        } else {
-            Message::Heartbeat { seq }
+        // Every heartbeat is a clock probe: the ack refreshes liveness
+        // *and* can tighten the offset estimate.
+        let ping = Message::ClockProbe {
+            seq,
+            t0: shared.now_ns(),
         };
         if shared.send(&ping).is_err() {
             continue; // sever/fail already handled by `send`

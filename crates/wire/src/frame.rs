@@ -1,6 +1,6 @@
-//! Length-prefixed binary framing and the byte-level codec primitives.
+//! Length-prefixed framing on the socket, and the wire error type.
 //!
-//! Every message on a wire connection travels as one *frame* (format v2):
+//! Every message on a wire connection travels as one *frame*:
 //!
 //! ```text
 //! +----------------+----------------+---------------------------------+
@@ -8,85 +8,27 @@
 //! +----------------+----------------+---------------------------------+
 //! ```
 //!
-//! The CRC32 (IEEE polynomial, hand-rolled below) covers the body; it is
-//! sealed in by [`seal`] and checked by [`open`] *above* the raw transport,
-//! so a byte flipped anywhere in transit — including by a
-//! [`ChaosTransport`](crate::transport::ChaosTransport) — surfaces as a
-//! structured [`FrameError`], never as a plausible message. The body is a
-//! tagged binary encoding of one [`Message`]; see [`crate::message`] for
-//! the per-message layouts. Integers are big-endian, strings are a `u32`
-//! byte length followed by UTF-8, and floats travel as their IEEE-754 bit
-//! patterns. Everything is hand-rolled on `std::io` — the workspace is
-//! dependency-free by rule.
+//! This module owns only the outer length prefix ([`write_frame`] /
+//! [`read_frame`]). The CRC-32 is sealed in and checked by
+//! [`mlperf_trace::codec::seal`]/[`open`](mlperf_trace::codec::open)
+//! *above* the raw transport, so a byte flipped anywhere in transit —
+//! including by a [`ChaosTransport`](crate::transport::ChaosTransport) —
+//! surfaces as a structured [`FrameError`], never as a plausible message.
+//! The body is a tagged encoding of one [`Message`] written with the
+//! shared [`mlperf_trace::codec`] byte codec; see [`crate::message`] for
+//! the per-message layouts.
 //!
 //! [`Message`]: crate::message::Message
 
 use std::io::{Read, Write};
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) lookup table, generated at
-/// compile time so the hot path is one table index per byte.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `bytes`. Detects every single-byte error and all burst
-/// errors up to 32 bits, which is exactly the failure model a chaotic
-/// network presents to a frame.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+use mlperf_trace::codec::{DecodeError, FrameError};
 
 /// Hard ceiling on a frame's payload size. An offline query over a
 /// 24,576-sample QSL encodes in ~400 KiB; 64 MiB leaves room for
 /// accuracy-mode payloads while still catching a corrupt length prefix
 /// before it turns into a multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
-
-/// A frame that failed its integrity check: the length prefix arrived, but
-/// the body's CRC32 does not match the checksum sealed in by the sender.
-///
-/// This is deliberately a *structured* error (not a string): the client
-/// maps it to an errored completion feeding `ErrorFractionExceeded`, and
-/// tests assert on it directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameError {
-    /// Payload length from the frame header (checksum + body).
-    pub len: usize,
-    /// CRC32 the sender sealed into the frame.
-    pub expected: u32,
-    /// CRC32 computed over the body as received.
-    pub found: u32,
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "frame integrity failure: {}-byte payload, crc {:#010x} != sealed {:#010x}",
-            self.len, self.found, self.expected
-        )
-    }
-}
 
 /// Errors raised by the wire layer.
 #[derive(Debug)]
@@ -134,6 +76,18 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        WireError::Frame(e)
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Protocol(e.to_string())
+    }
+}
+
 /// Writes one frame: `u32` big-endian payload length, then the payload.
 ///
 /// # Errors
@@ -173,200 +127,6 @@ pub fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
-/// Seals a message body into a frame payload: `crc32(body) || body`.
-///
-/// The checksum travels *inside* the payload, below the length prefix but
-/// above any transport decoration, so corruption injected anywhere between
-/// the two [`seal`]/[`open`] calls is caught.
-pub fn seal(body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(body.len() + 4);
-    payload.extend_from_slice(&crc32(body).to_be_bytes());
-    payload.extend_from_slice(body);
-    payload
-}
-
-/// Opens a sealed frame payload, verifying the CRC32 and returning the
-/// message body.
-///
-/// # Errors
-///
-/// Returns [`WireError::Frame`] if the payload is too short to carry a
-/// checksum or the body's CRC32 does not match the sealed one.
-pub fn open(payload: &[u8]) -> Result<&[u8], WireError> {
-    if payload.len() < 4 {
-        return Err(WireError::Frame(FrameError {
-            len: payload.len(),
-            expected: 0,
-            found: 0,
-        }));
-    }
-    let expected = u32::from_be_bytes(payload[..4].try_into().expect("len 4"));
-    let body = &payload[4..];
-    let found = crc32(body);
-    if found != expected {
-        return Err(WireError::Frame(FrameError {
-            len: payload.len(),
-            expected,
-            found,
-        }));
-    }
-    Ok(body)
-}
-
-/// Append-only encoder for frame payloads.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// Creates an empty encoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the encoder, returning the payload bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends an `f32` as its IEEE-754 bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-}
-
-/// Cursor-based decoder for frame payloads. Every accessor checks bounds;
-/// truncated or trailing bytes surface as [`WireError::Protocol`].
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Wraps a payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Protocol(format!(
-                "payload truncated: wanted {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation (as do all readers).
-    pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a big-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    /// Reads a big-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    /// Reads a big-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads an `f32` from its bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation.
-    pub fn get_f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] on truncation or invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<String, WireError> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| WireError::Protocol(format!("invalid UTF-8 in string field: {e}")))
-    }
-
-    /// Asserts the payload was fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] if trailing bytes remain.
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Protocol(format!(
-                "{} trailing bytes after message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,100 +160,5 @@ mod tests {
         buf.extend_from_slice(b"only4");
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(read_frame(&mut cursor), Err(WireError::Io(_))));
-    }
-
-    #[test]
-    fn scalar_roundtrip() {
-        let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_u16(1_000);
-        w.put_u32(70_000);
-        w.put_u64(u64::MAX - 3);
-        w.put_f32(0.25);
-        w.put_str("schnell");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 1_000);
-        assert_eq!(r.get_u32().unwrap(), 70_000);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f32().unwrap(), 0.25);
-        assert_eq!(r.get_str().unwrap(), "schnell");
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn truncated_payload_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u64(42);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes[..5]);
-        assert!(matches!(r.get_u64(), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u8(1);
-        w.put_u8(2);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        r.get_u8().unwrap();
-        assert!(matches!(r.finish(), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn bad_utf8_rejected() {
-        let mut w = ByteWriter::new();
-        w.put_u32(2);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        let mut r = ByteReader::new(&bytes);
-        assert!(matches!(r.get_str(), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // Published IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
-    fn seal_open_roundtrip() {
-        for body in [&b""[..], b"x", b"a longer message body \x00\xff"] {
-            let payload = seal(body);
-            assert_eq!(payload.len(), body.len() + 4);
-            assert_eq!(open(&payload).unwrap(), body);
-        }
-    }
-
-    #[test]
-    fn undersized_payload_is_frame_error() {
-        for len in 0..4 {
-            let payload = vec![0u8; len];
-            assert!(matches!(open(&payload), Err(WireError::Frame(_))));
-        }
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_caught() {
-        let body = b"completion: query 17, 2 samples, no error";
-        let sealed = seal(body);
-        for pos in 0..sealed.len() {
-            for bit in 0..8u8 {
-                let mut corrupted = sealed.clone();
-                corrupted[pos] ^= 1 << bit;
-                let err = open(&corrupted).expect_err("flip must be caught");
-                assert!(
-                    matches!(err, WireError::Frame(_)),
-                    "byte {pos} bit {bit}: {err:?}"
-                );
-            }
-        }
     }
 }

@@ -11,11 +11,12 @@
 //!
 //! Layering, bottom-up:
 //!
-//! * [`frame`] — length-prefixed frames, the byte codec, and the per-frame
-//!   CRC32 seal that makes corruption a structured [`FrameError`];
+//! * [`frame`] — length-prefixed frames on the socket and [`WireError`];
+//!   the byte codec and the per-frame CRC32 seal that makes corruption a
+//!   structured [`FrameError`] are the shared [`mlperf_trace::codec`];
 //! * [`message`] — the message vocabulary and binary layouts, behind a
-//!   versioned handshake that now carries a session id and epoch and
-//!   negotiates a protocol version range (v2 peers still interoperate);
+//!   handshake that carries a session id and epoch and accepts exactly
+//!   [`PROTOCOL_VERSION`];
 //! * [`clock`] — NTP-style four-timestamp offset estimation, so spans
 //!   from both hosts merge onto one aligned time axis;
 //! * [`stats`] — [`DaemonStats`] and [`fetch_stats`], the one-shot live
@@ -24,7 +25,7 @@
 //!   pipe, plus [`WireChaosPlan`] / [`ChaosSession`], the seeded wire
 //!   fault injector that decorates either endpoint;
 //! * [`client`] — [`RemoteSut`], with bounded in-flight backpressure,
-//!   heartbeats, the errored/vanished failure mapping, and
+//!   clock-probe heartbeats, the errored/vanished failure mapping, and
 //!   reconnect-and-resume under a [`ResumePolicy`];
 //! * [`server`] — [`serve`] / [`ServerHandle`], per-session worker pools
 //!   and a completion journal that makes resume replay exactly-once;
@@ -52,9 +53,10 @@ pub mod transport;
 pub use cheat::SilentDropService;
 pub use client::{RemoteSut, RemoteSutConfig, ResumePolicy};
 pub use clock::{ClockEstimator, ClockSample};
-pub use frame::{FrameError, WireError, MAX_FRAME_LEN};
+pub use frame::{WireError, MAX_FRAME_LEN};
 pub use host::SimHost;
-pub use message::{Hello, Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+pub use message::{Hello, Message, PROTOCOL_VERSION};
+pub use mlperf_trace::codec::FrameError;
 pub use server::{serve, serve_on, ServeConfig, ServerHandle};
 pub use service::{ServedReply, WireService};
 pub use stats::{fetch_stats, DaemonStats};

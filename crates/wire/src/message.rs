@@ -7,51 +7,43 @@
 //! | 1   | `Hello`        | version u16, scenario u8, 3× seed u64, qsl_size u64, max_in_flight u32, session u64, epoch u32, resume u8 |
 //! | 2   | `HelloAck`     | version u16, sut_name str, max_in_flight u32                |
 //! | 3   | `Reject`       | reason str                                                  |
-//! | 4   | `Issue`        | query_id u64, scheduled_at u64, tenant u32, n u32, n× (sample_id u64, index u64) |
+//! | 4   | —              | retired (untraced `Issue`); never reuse                     |
 //! | 5   | `Completion`   | query_id u64, error u8, n u32, n× (sample_id u64, payload)  |
-//! | 6   | `Heartbeat`    | seq u64                                                     |
-//! | 7   | `HeartbeatAck` | seq u64                                                     |
+//! | 6   | —              | retired (`Heartbeat`); never reuse                          |
+//! | 7   | —              | retired (`HeartbeatAck`); never reuse                       |
 //! | 8   | `Drain`        | (empty)                                                     |
 //! | 9   | `Goodbye`      | served u64                                                  |
-//! | 10  | `IssueTraced`  | trace_id u64, then the `Issue` body (v3)                    |
-//! | 11  | `Events`       | jsonl str — server-side detail-log rows (v3)                |
-//! | 12  | `StatsRequest` | (empty) (v3)                                                |
-//! | 13  | `Stats`        | json str — daemon stats snapshot (v3)                       |
-//! | 14  | `ClockProbe`   | seq u64, t0 u64 (v3)                                        |
-//! | 15  | `ClockProbeAck`| seq u64, t0 u64, t1 u64, t2 u64 (v3)                        |
+//! | 10  | `IssueTraced`  | trace_id u64, query_id u64, scheduled_at u64, tenant u32, n u32, n× (sample_id u64, index u64) |
+//! | 11  | `Events`       | jsonl str — server-side detail-log rows                     |
+//! | 12  | `StatsRequest` | (empty)                                                     |
+//! | 13  | `Stats`        | json str — daemon stats snapshot                            |
+//! | 14  | `ClockProbe`   | seq u64, t0 u64                                             |
+//! | 15  | `ClockProbeAck`| seq u64, t0 u64, t1 u64, t2 u64                             |
 //!
 //! Response payloads are themselves tagged: 0 empty, 1 class (u64),
 //! 2 boxes (n u32, n× class u64 + score f32 + 4× f32), 3 tokens
 //! (n u32, n× u32).
 //!
-//! On the wire every encoded message travels [`seal`]ed — prefixed by its
-//! CRC32 — via [`Message::to_wire`] / [`Message::from_wire`]; see
-//! [`crate::frame`] for the frame format.
+//! Every count is bounded by the bytes that remain before anything is
+//! allocated ([`ByteReader::get_count`]). On the wire every encoded
+//! message travels [`seal`]ed — prefixed by its CRC32 — via
+//! [`Message::to_wire`] / [`Message::from_wire`]; see [`crate::frame`]
+//! for the frame format.
 
-use crate::frame::{open, seal, ByteReader, ByteWriter, WireError};
+use crate::frame::WireError;
 use mlperf_loadgen::query::{Query, QuerySample, ResponsePayload, SampleCompletion};
 use mlperf_loadgen::scenario::Scenario;
 use mlperf_loadgen::time::Nanos;
 use mlperf_stats::rng::SeedTriple;
+use mlperf_trace::codec::{open, seal, ByteReader, ByteWriter};
 
-/// The newest protocol version this build speaks. The handshake
-/// *negotiates* within `[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`: the
-/// server acks the client's offered version when it falls in that range
-/// and rejects anything outside it (never a silent downgrade from an
-/// unknown future version).
-///
-/// v1: length-prefixed frames, no integrity check, no sessions.
-/// v2: per-frame CRC32 ([`crate::frame::seal`]) and session-resume fields
-/// (`session`, `epoch`, `resume`) in [`Hello`].
-/// v3: distributed tracing and telemetry — trace-id-carrying issues
-/// (`IssueTraced`), server event shipping at drain (`Events`), daemon
-/// stats (`StatsRequest`/`Stats`), and NTP-style clock probes
-/// (`ClockProbe`/`ClockProbeAck`).
+/// The one protocol version this build speaks; the handshake accepts
+/// exactly this version and rejects every other. v3 frames carry a CRC32
+/// ([`seal`]), session-resume fields in [`Hello`], a trace id on every
+/// issue (`IssueTraced`), server event shipping at drain (`Events`),
+/// daemon stats (`StatsRequest`/`Stats`), and NTP-style clock probes
+/// (`ClockProbe`/`ClockProbeAck`) that double as heartbeats.
 pub const PROTOCOL_VERSION: u16 = 3;
-
-/// The oldest protocol version still accepted in the handshake. v2 peers
-/// interoperate: they simply never send the v3 messages.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
 
 /// What the client announces before any query flows: everything the server
 /// needs to pre-load its QSL and sanity-check the run (scenario, the three
@@ -98,8 +90,6 @@ pub enum Message {
         /// Why the server refused.
         reason: String,
     },
-    /// Client → server: run inference on a query.
-    Issue(Query),
     /// Server → client: a query resolved. `error` marks a structural
     /// failure (the remote engine errored/dropped); sample ids still echo.
     Completion {
@@ -110,16 +100,6 @@ pub enum Message {
         /// Per-sample completions.
         samples: Vec<SampleCompletion>,
     },
-    /// Either direction: liveness probe.
-    Heartbeat {
-        /// Monotonic probe sequence number.
-        seq: u64,
-    },
-    /// Reply to a [`Message::Heartbeat`], echoing its sequence number.
-    HeartbeatAck {
-        /// Echoed sequence number.
-        seq: u64,
-    },
     /// Client → server: no more queries; flush outstanding completions.
     Drain,
     /// Server → client: drain finished, connection closing.
@@ -127,15 +107,15 @@ pub enum Message {
         /// Queries the server resolved over the connection's lifetime.
         served: u64,
     },
-    /// Client → server (v3): run inference on a query, carrying the trace
-    /// id the server must tag its side of the work with.
+    /// Client → server: run inference on a query, carrying the trace id
+    /// the server must tag its side of the work with.
     IssueTraced {
         /// Trace id shared by every span of this query, on both hosts.
         trace_id: u64,
         /// The query.
         query: Query,
     },
-    /// Server → client (v3): a batch of server-side detail-log rows,
+    /// Server → client: a batch of server-side detail-log rows,
     /// JSONL-encoded `TraceRecord`s on the *server* clock. Shipped at
     /// drain, before `Goodbye`; the client re-stamps them onto its own
     /// clock via the negotiated offset estimate.
@@ -143,18 +123,18 @@ pub enum Message {
         /// JSON Lines, one `TraceRecord` per line.
         jsonl: String,
     },
-    /// Client → server (v3): one-shot stats query. May open a dedicated
+    /// Client → server: one-shot stats query. May open a dedicated
     /// connection: a `StatsRequest` as the first frame (instead of
     /// `Hello`) gets a `Stats` reply and the connection closes.
     StatsRequest,
-    /// Server → client (v3): daemon stats snapshot as JSON (see
+    /// Server → client: daemon stats snapshot as JSON (see
     /// `DaemonStats` in the stats module).
     Stats {
         /// JSON-encoded `DaemonStats`.
         json: String,
     },
-    /// Client → server (v3): NTP-style clock probe. Doubles as a liveness
-    /// probe (the ack refreshes the heartbeat clock).
+    /// Client → server: NTP-style clock probe. Doubles as the heartbeat
+    /// (the ack refreshes the client's liveness clock).
     ClockProbe {
         /// Monotonic probe sequence number.
         seq: u64,
@@ -205,7 +185,7 @@ fn put_payload(w: &mut ByteWriter, payload: &ResponsePayload) {
         }
         ResponsePayload::Boxes(boxes) => {
             w.put_u8(2);
-            w.put_u32(boxes.len() as u32);
+            w.put_count(boxes.len());
             for (class, score, rect) in boxes {
                 w.put_u64(*class as u64);
                 w.put_f32(*score);
@@ -216,7 +196,7 @@ fn put_payload(w: &mut ByteWriter, payload: &ResponsePayload) {
         }
         ResponsePayload::Tokens(tokens) => {
             w.put_u8(3);
-            w.put_u32(tokens.len() as u32);
+            w.put_count(tokens.len());
             for t in tokens {
                 w.put_u32(*t);
             }
@@ -224,12 +204,15 @@ fn put_payload(w: &mut ByteWriter, payload: &ResponsePayload) {
     }
 }
 
+/// Encoded size of one detection box: class u64, score f32, 4× f32.
+const BOX_LEN: usize = 8 + 4 + 16;
+
 fn get_payload(r: &mut ByteReader<'_>) -> Result<ResponsePayload, WireError> {
     match r.get_u8()? {
         0 => Ok(ResponsePayload::Empty),
         1 => Ok(ResponsePayload::Class(r.get_u64()? as usize)),
         2 => {
-            let n = r.get_u32()? as usize;
+            let n = r.get_count(BOX_LEN)?;
             let mut boxes = Vec::with_capacity(n);
             for _ in 0..n {
                 let class = r.get_u64()? as usize;
@@ -243,7 +226,7 @@ fn get_payload(r: &mut ByteReader<'_>) -> Result<ResponsePayload, WireError> {
             Ok(ResponsePayload::Boxes(boxes))
         }
         3 => {
-            let n = r.get_u32()? as usize;
+            let n = r.get_count(4)?;
             let mut tokens = Vec::with_capacity(n);
             for _ in 0..n {
                 tokens.push(r.get_u32()?);
@@ -258,7 +241,7 @@ fn put_query(w: &mut ByteWriter, query: &Query) {
     w.put_u64(query.id);
     w.put_u64(query.scheduled_at.as_nanos());
     w.put_u32(query.tenant);
-    w.put_u32(query.samples.len() as u32);
+    w.put_count(query.samples.len());
     for s in &query.samples {
         w.put_u64(s.id);
         w.put_u64(s.index as u64);
@@ -269,7 +252,7 @@ fn get_query(r: &mut ByteReader<'_>) -> Result<Query, WireError> {
     let id = r.get_u64()?;
     let scheduled_at = Nanos::from_nanos(r.get_u64()?);
     let tenant = r.get_u32()?;
-    let n = r.get_u32()? as usize;
+    let n = r.get_count(16)?;
     let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
         samples.push(QuerySample {
@@ -292,10 +275,7 @@ impl Message {
             Message::Hello(_) => "Hello",
             Message::HelloAck { .. } => "HelloAck",
             Message::Reject { .. } => "Reject",
-            Message::Issue(_) => "Issue",
             Message::Completion { .. } => "Completion",
-            Message::Heartbeat { .. } => "Heartbeat",
-            Message::HeartbeatAck { .. } => "HeartbeatAck",
             Message::Drain => "Drain",
             Message::Goodbye { .. } => "Goodbye",
             Message::IssueTraced { .. } => "IssueTraced",
@@ -338,10 +318,6 @@ impl Message {
                 w.put_u8(3);
                 w.put_str(reason);
             }
-            Message::Issue(query) => {
-                w.put_u8(4);
-                put_query(&mut w, query);
-            }
             Message::Completion {
                 query_id,
                 error,
@@ -350,19 +326,11 @@ impl Message {
                 w.put_u8(5);
                 w.put_u64(*query_id);
                 w.put_u8(u8::from(*error));
-                w.put_u32(samples.len() as u32);
+                w.put_count(samples.len());
                 for s in samples {
                     w.put_u64(s.sample_id);
                     put_payload(&mut w, &s.payload);
                 }
-            }
-            Message::Heartbeat { seq } => {
-                w.put_u8(6);
-                w.put_u64(*seq);
-            }
-            Message::HeartbeatAck { seq } => {
-                w.put_u8(7);
-                w.put_u64(*seq);
             }
             Message::Drain => {
                 w.put_u8(8);
@@ -450,11 +418,11 @@ impl Message {
             3 => Message::Reject {
                 reason: r.get_str()?,
             },
-            4 => Message::Issue(get_query(&mut r)?),
             5 => {
                 let query_id = r.get_u64()?;
                 let error = r.get_u8()? != 0;
-                let n = r.get_u32()? as usize;
+                // Each sample is at least its id plus a payload tag.
+                let n = r.get_count(9)?;
                 let mut samples = Vec::with_capacity(n);
                 for _ in 0..n {
                     samples.push(SampleCompletion {
@@ -468,8 +436,6 @@ impl Message {
                     samples,
                 }
             }
-            6 => Message::Heartbeat { seq: r.get_u64()? },
-            7 => Message::HeartbeatAck { seq: r.get_u64()? },
             8 => Message::Drain,
             9 => Message::Goodbye {
                 served: r.get_u64()?,
@@ -526,18 +492,6 @@ mod tests {
             Message::Reject {
                 reason: "version mismatch".into(),
             },
-            Message::Issue(Query {
-                id: 17,
-                samples: vec![
-                    QuerySample { id: 170, index: 3 },
-                    QuerySample {
-                        id: 171,
-                        index: 900,
-                    },
-                ],
-                scheduled_at: Nanos::from_micros(250),
-                tenant: 2,
-            }),
             Message::Completion {
                 query_id: 17,
                 error: false,
@@ -568,17 +522,21 @@ mod tests {
                     payload: ResponsePayload::Tokens(vec![5, 6, 7]),
                 }],
             },
-            Message::Heartbeat { seq: 41 },
-            Message::HeartbeatAck { seq: 41 },
             Message::Drain,
             Message::Goodbye { served: 270_336 },
             Message::IssueTraced {
                 trace_id: 0x7AC3_1D00_DEAD_BEEF,
                 query: Query {
-                    id: 18,
-                    samples: vec![QuerySample { id: 180, index: 5 }],
-                    scheduled_at: Nanos::from_micros(300),
-                    tenant: 0,
+                    id: 17,
+                    samples: vec![
+                        QuerySample { id: 170, index: 3 },
+                        QuerySample {
+                            id: 171,
+                            index: 900,
+                        },
+                    ],
+                    scheduled_at: Nanos::from_micros(250),
+                    tenant: 2,
                 },
             },
             Message::Events {
@@ -635,6 +593,70 @@ mod tests {
                     "{message:?} decoded from a {cut}-byte prefix"
                 );
             }
+        }
+    }
+
+    /// A body whose count field claims `u32::MAX` elements.
+    fn huge_count_body(tag: u8, fixed: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u8(tag);
+        for &v in fixed {
+            w.put_u64(v);
+        }
+        w.put_u32(u32::MAX);
+        w.into_bytes()
+    }
+
+    /// Length fields are bounded by the bytes that remain, so a corrupt
+    /// count is a structured error instead of a multi-gigabyte allocation
+    /// that aborts the process.
+    #[test]
+    fn huge_counts_are_rejected_before_allocation() {
+        // The retired untraced issue: query_id, scheduled_at, tenant, n.
+        let mut issue = huge_count_body(4, &[17, 250_000]);
+        issue.splice(17..17, 0u32.to_be_bytes());
+        assert_eq!(issue.len(), 25);
+        // The traced issue: trace_id, then the same query layout.
+        let mut traced = huge_count_body(10, &[0x7AC3, 17, 250_000]);
+        traced.splice(25..25, 0u32.to_be_bytes());
+        // A completion: query_id, error flag, n.
+        let mut completion = huge_count_body(5, &[17]);
+        completion.insert(9, 0);
+        // One completion sample whose payload claims `u32::MAX` boxes or
+        // tokens.
+        let payload = |tag: u8| {
+            let mut w = ByteWriter::new();
+            w.put_u8(5);
+            w.put_u64(17);
+            w.put_u8(0);
+            w.put_u32(1);
+            w.put_u64(170);
+            w.put_u8(tag);
+            w.put_u32(u32::MAX);
+            w.into_bytes()
+        };
+        for body in [issue, traced, completion, payload(2), payload(3)] {
+            assert!(
+                matches!(Message::decode(&body), Err(WireError::Protocol(_))),
+                "{body:?}"
+            );
+            let sealed = seal(&body);
+            assert!(matches!(
+                Message::from_wire(&sealed),
+                Err(WireError::Protocol(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn retired_tags_are_rejected() {
+        for tag in [4u8, 6, 7] {
+            let mut body = vec![tag];
+            body.extend_from_slice(&41u64.to_be_bytes());
+            assert!(matches!(
+                Message::decode(&body),
+                Err(WireError::Protocol(_))
+            ));
         }
     }
 

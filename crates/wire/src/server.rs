@@ -4,9 +4,9 @@
 //! connection performs the versioned handshake, then runs a worker pool
 //! (one worker per connection by default) pulling issue frames off the
 //! socket, resolving them through the service, and writing completion
-//! frames back. Heartbeats are answered inline; `Drain` waits for the
-//! connection's outstanding queries to resolve, then answers `Goodbye`
-//! and closes.
+//! frames back. Clock probes (the client's heartbeats) are answered
+//! inline; `Drain` waits for the connection's outstanding queries to
+//! resolve, then answers `Goodbye` and closes.
 //!
 //! Connections belong to **sessions** (the `session` id in the `Hello`).
 //! A session outlives its connections: it keeps a journal of every
@@ -39,7 +39,7 @@ use mlperf_trace::json::ToJson;
 use mlperf_trace::metrics::MetricsRegistry;
 use mlperf_trace::JournalWriter;
 
-use crate::message::{Message, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::message::{Message, PROTOCOL_VERSION};
 use crate::service::WireService;
 use crate::stats::DaemonStats;
 use crate::transport::{ChaosSession, TcpTransport, Transport, WireChaosPlan};
@@ -178,7 +178,7 @@ struct Session {
     writer: Mutex<Option<(u32, Box<dyn Transport>)>>,
     work_tx: Mutex<Option<mpsc::Sender<WorkItem>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Server-side queue/compute spans for traced (v3) queries, shipped to
+    /// Server-side queue/compute spans for every query, shipped to
     /// the client at drain so one run yields one merged detail log.
     events: Arc<RingBufferSink>,
     /// The on-disk journal path, kept so a cleanly drained session can
@@ -190,7 +190,6 @@ struct Session {
 /// server-clock instant it entered the queue.
 struct WorkItem {
     query: Query,
-    /// `0` means untraced (a v2 `Issue` frame).
     trace_id: u64,
     enqueued_ns: u64,
 }
@@ -570,35 +569,31 @@ fn spawn_session(
                 shared
                     .metrics
                     .observe("wire_queue_ns", dequeued_ns.saturating_sub(enqueued_ns));
-                if trace_id != 0 {
-                    session_t.events.record(
-                        enqueued_ns,
-                        &TraceEvent::SpanEvent {
-                            host: shared.host_label.clone(),
-                            trace_id,
-                            query_id: query.id,
-                            phase: "queue".to_string(),
-                            dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
-                        },
-                    );
-                }
+                session_t.events.record(
+                    enqueued_ns,
+                    &TraceEvent::SpanEvent {
+                        host: shared.host_label.clone(),
+                        trace_id,
+                        query_id: query.id,
+                        phase: "queue".to_string(),
+                        dur_ns: dequeued_ns.saturating_sub(enqueued_ns),
+                    },
+                );
                 let reply = service.serve(&query);
                 let served_ns = shared.now_ns();
                 shared
                     .metrics
                     .observe("wire_serve_ns", served_ns.saturating_sub(dequeued_ns));
-                if trace_id != 0 {
-                    session_t.events.record(
-                        dequeued_ns,
-                        &TraceEvent::SpanEvent {
-                            host: shared.host_label.clone(),
-                            trace_id,
-                            query_id: query.id,
-                            phase: "compute".to_string(),
-                            dur_ns: served_ns.saturating_sub(dequeued_ns),
-                        },
-                    );
-                }
+                session_t.events.record(
+                    dequeued_ns,
+                    &TraceEvent::SpanEvent {
+                        host: shared.host_label.clone(),
+                        trace_id,
+                        query_id: query.id,
+                        phase: "compute".to_string(),
+                        dur_ns: served_ns.saturating_sub(dequeued_ns),
+                    },
+                );
                 match reply {
                     Some(reply) => {
                         // Journal first, then send: if the connection dies
@@ -655,10 +650,10 @@ fn spawn_session(
     session
 }
 
-/// Routes one issued query (traced or not) through the session's journal
-/// discipline: fresh queries go to the worker pool, journaled ones are
-/// answered by replay, in-progress duplicates are skipped. Returns `false`
-/// when the connection must drop (the work queue is gone).
+/// Routes one issued query through the session's journal discipline:
+/// fresh queries go to the worker pool, journaled ones are answered by
+/// replay, in-progress duplicates are skipped. Returns `false` when the
+/// connection must drop (the work queue is gone).
 fn handle_issue(
     session: &Arc<Session>,
     shared: &Arc<ServerShared>,
@@ -792,11 +787,9 @@ fn handle_conn(
         }
         _ => return, // includes the shutdown poke connection
     };
-    // Negotiate: the server speaks every version in the supported range
-    // and answers at the client's offered version. Anything outside the
-    // range — including a *newer* client — is rejected rather than
-    // silently downgraded.
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&hello.version) {
+    // The server speaks exactly one version; any other offer — older or
+    // newer — is rejected rather than silently downgraded.
+    if hello.version != PROTOCOL_VERSION {
         shared.wire_event(
             "reject",
             0,
@@ -804,7 +797,7 @@ fn handle_conn(
         );
         let reject = Message::Reject {
             reason: format!(
-                "protocol version mismatch: server v{MIN_PROTOCOL_VERSION}..v{PROTOCOL_VERSION}, client v{}",
+                "protocol version mismatch: server v{PROTOCOL_VERSION}, client v{}",
                 hello.version
             ),
         };
@@ -861,7 +854,7 @@ fn handle_conn(
     };
 
     let ack = Message::HelloAck {
-        version: hello.version,
+        version: PROTOCOL_VERSION,
         sut_name: service.name().to_string(),
         max_in_flight: hello.max_in_flight,
     };
@@ -893,11 +886,6 @@ fn handle_conn(
             break;
         }
         match transport.recv().and_then(|p| Message::from_wire(&p)) {
-            Ok(Message::Issue(query)) => {
-                if !handle_issue(&session, shared, query, 0) {
-                    break;
-                }
-            }
             Ok(Message::IssueTraced { trace_id, query }) => {
                 if !handle_issue(&session, shared, query, trace_id) {
                     break;
@@ -906,9 +894,6 @@ fn handle_conn(
             // A duplicated Hello frame (chaos duplicate-send hits the
             // handshake) is harmless noise, not a protocol violation.
             Ok(Message::Hello(_)) => continue,
-            Ok(Message::Heartbeat { seq }) => {
-                session.send(&Message::HeartbeatAck { seq });
-            }
             Ok(Message::ClockProbe { seq, t0 }) => {
                 // Stamp receive and transmit on the server's clock; the
                 // client turns the four timestamps into an offset sample.
@@ -927,19 +912,17 @@ fn handle_conn(
                 }
                 drop(n);
                 shared.wire_event("drain", 0, "flushed outstanding queries");
-                // A v3 client gets the session's server-side spans shipped
-                // back before the goodbye, so its detail log covers both
-                // hosts. Chunked: each frame stays far below the cap.
-                if hello.version >= 3 {
-                    let records = session.events.snapshot();
-                    for chunk in records.chunks(EVENTS_CHUNK) {
-                        let mut jsonl = String::new();
-                        for record in chunk {
-                            jsonl.push_str(&record.to_json_string());
-                            jsonl.push('\n');
-                        }
-                        session.send(&Message::Events { jsonl });
+                // The session's server-side spans ship back before the
+                // goodbye, so the client's detail log covers both hosts.
+                // Chunked: each frame stays far below the cap.
+                let records = session.events.snapshot();
+                for chunk in records.chunks(EVENTS_CHUNK) {
+                    let mut jsonl = String::new();
+                    for record in chunk {
+                        jsonl.push_str(&record.to_json_string());
+                        jsonl.push('\n');
                     }
+                    session.send(&Message::Events { jsonl });
                 }
                 session.send(&Message::Goodbye {
                     served: shared.served.load(Ordering::SeqCst),

@@ -302,48 +302,28 @@ fn silently_dropped_queries_vanish_and_stay_outstanding() {
     server.shutdown();
 }
 
-/// A client pinned to protocol v2 still completes a VALID run against a
-/// v3 daemon: the handshake negotiates down, and none of the v3 traffic
-/// (traced issues, clock probes, event shipping) appears on the wire.
+/// Protocol v2 is retired: a `Hello` offering version 2 gets a `Reject`
+/// naming both versions, never an ack.
 #[test]
-fn v2_client_interoperates_with_a_v3_daemon() {
-    let settings = TestSettings::single_stream()
-        .with_min_query_count(10)
-        .with_min_duration(Nanos::from_micros(1));
-    let mut qsl = MemoryQsl::new("loop-qsl", 8, 8);
-    let config = RemoteSutConfig::default().with_protocol(2);
-    let hello = hello_for(&settings, &qsl, &config);
-    assert_eq!(hello.version, 2);
-    let sink = Arc::new(RingBufferSink::unbounded());
+fn hello_at_version_2_is_rejected() {
+    let settings = TestSettings::single_stream();
+    let qsl = MemoryQsl::new("loop-qsl", 4, 4);
+    let mut hello = hello_for(&settings, &qsl, &RemoteSutConfig::default());
+    hello.version = 2;
     let service = Arc::new(SimHost::new(FixedLatencySut::new(
-        "legacy-peer",
-        Nanos::from_micros(10),
+        "strict",
+        Nanos::from_micros(1),
     )));
-    let (client, server) = loopback_instrumented(
-        service,
-        ServeConfig::default(),
-        hello,
-        config,
-        Some(sink.clone()),
-        None,
-    )
-    .expect("v2 handshake must be accepted");
-    assert_eq!(client.negotiated_version(), 2);
-
-    let out = run_realtime(&settings, &mut qsl, Arc::new(client)).expect("run");
-    assert!(out.result.is_valid(), "{:?}", out.result.validity);
-
-    // An untraced link produces wire events but never spans or syncs.
-    for record in sink.snapshot() {
-        assert!(
-            !matches!(
-                record.event,
-                mlperf_trace::TraceEvent::SpanEvent { .. }
-                    | mlperf_trace::TraceEvent::ClockSync { .. }
-            ),
-            "v2 link leaked v3 telemetry: {:?}",
-            record.event
-        );
+    let server = serve_on("127.0.0.1:0", service, ServeConfig::default()).expect("serve");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    write_frame(&mut stream, &Message::Hello(hello).to_wire()).expect("hello");
+    let reply = Message::from_wire(&read_frame(&mut stream).expect("reply")).expect("decodes");
+    match reply {
+        Message::Reject { reason } => assert!(
+            reason.contains(&format!("server v{PROTOCOL_VERSION}, client v2")),
+            "{reason}"
+        ),
+        other => panic!("expected Reject, got {other:?}"),
     }
     server.shutdown();
 }
