@@ -9,6 +9,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# Broken or ambiguous intra-doc links fail the build, so a removed or
+# renamed item cannot leave a dangling [`link`] behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test =="
 cargo test --workspace -q
 

@@ -12,13 +12,13 @@
 //!   client-queue / network / server-queue / compute segments that sum to
 //!   the end-to-end latency *exactly* (the network segment is the signed
 //!   residual, so clock skew is visible instead of silently absorbed).
-//! * [`breakdown`] — [`breakdown::breakdown`] attributes p50/p90/p99/p99.9
+//! * [`breakdown`](mod@breakdown) — [`breakdown::breakdown`] attributes p50/p90/p99/p99.9
 //!   to the dominant segment of the query at each nearest rank, matching
 //!   the percentile convention the validity rules use.
 //! * [`rootcause`] — [`rootcause::root_causes`] names each violated
 //!   constraint and argues it from the log: offending queries, their time
 //!   window, critical-path trace ids, and injected-fault evidence.
-//! * [`heatmap`] — [`heatmap::heatmap`] buckets completions onto the
+//! * [`heatmap`](mod@heatmap) — [`heatmap::heatmap`] buckets completions onto the
 //!   timeseries sampler's interval grid for latency-over-time rendering.
 //! * [`diff`] — [`diff::diff_paths`] / [`diff::diff_metrics`] compare two
 //!   runs at nearest-rank quantiles and name the segment that regressed.

@@ -5,6 +5,11 @@
 //! wall-clock run, but a 270,336-query server experiment completes in
 //! milliseconds. This is what makes reproducing the paper's evaluation
 //! tractable on a laptop (the original submissions ran for hours per result).
+//!
+//! Every simulated run is driven by one event queue (`EventQueue`). The
+//! four scenarios, accuracy mode, replay, and journaled runs and their
+//! resumes also share one run body; the multitenant merge
+//! (`crate::multitenant`) has its own, over the same queue.
 
 use crate::config::{TestMode, TestSettings};
 use crate::instrument::Instruments;
@@ -48,18 +53,20 @@ pub struct RunOutcome {
 }
 
 #[derive(Debug)]
-enum EventKind {
-    Arrival,
+pub(crate) enum EventKind {
+    /// A scheduled query arrival of the given tenant (always 0 outside
+    /// multitenant runs).
+    Arrival(usize),
     Wakeup,
     Completion(QueryCompletion),
 }
 
 #[derive(Debug)]
-struct Event {
-    at: Nanos,
+pub(crate) struct Event {
+    pub(crate) at: Nanos,
     order: u8,
     seq: u64,
-    kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 impl Event {
@@ -88,17 +95,100 @@ impl Ord for Event {
     }
 }
 
+/// The simulated clock: a min-heap of events ordered by `(at, order, seq)`
+/// — time, then arrivals before wakeups before completions, then push
+/// order — plus the event budget, the time-series sampler advance, and the
+/// checks on what an SUT reaction may schedule. Its methods are
+/// `#[inline]` so they still inline into the run loops, which are
+/// instantiated in the caller's crate for each SUT type.
+pub(crate) struct EventQueue<'a> {
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    popped: u64,
+    sampler: Option<(&'a TimeSeriesSampler, &'a MetricsRegistry)>,
+}
+
+impl<'a> EventQueue<'a> {
+    #[inline]
+    pub(crate) fn new(
+        sampler: Option<&'a TimeSeriesSampler>,
+        metrics: Option<&'a MetricsRegistry>,
+    ) -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            popped: 0,
+            sampler: sampler.zip(metrics),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, at: Nanos, order: u8, kind: EventKind) {
+        self.seq += 1;
+        self.heap.push(Reverse(Event {
+            at,
+            order,
+            seq: self.seq,
+            kind,
+        }));
+    }
+
+    #[inline]
+    pub(crate) fn schedule_arrival(&mut self, at: Nanos, tenant: usize) {
+        self.push(at, 0, EventKind::Arrival(tenant));
+    }
+
+    /// The next event, or `None` once the queue is empty.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Result<Option<Event>, LoadGenError> {
+        self.popped += 1;
+        if self.popped > MAX_EVENTS {
+            return Err(LoadGenError::SutProtocol(format!(
+                "event budget of {MAX_EVENTS} exhausted; SUT appears to loop"
+            )));
+        }
+        let event = self.heap.pop().map(|Reverse(e)| e);
+        // Sample *before* the event is processed, so each row reflects the
+        // state strictly before its boundary.
+        if let (Some((sampler, metrics)), Some(event)) = (self.sampler, event.as_ref()) {
+            sampler.advance_to(event.at.as_nanos(), metrics);
+        }
+        Ok(event)
+    }
+
+    /// Schedules what the SUT asked for at `now`: its completions, then
+    /// its wakeup. Neither may lie in the past.
+    #[inline]
+    pub(crate) fn apply(&mut self, now: Nanos, reaction: SutReaction) -> Result<(), LoadGenError> {
+        for completion in reaction.completions {
+            if completion.finished_at < now {
+                return Err(LoadGenError::SutProtocol(format!(
+                    "query {} completion stamped {} in the past of {}",
+                    completion.query_id, completion.finished_at, now
+                )));
+            }
+            self.push(completion.finished_at, 2, EventKind::Completion(completion));
+        }
+        if let Some(at) = reaction.wakeup_at {
+            if at < now {
+                return Err(LoadGenError::SutProtocol(format!(
+                    "wakeup requested at {at}, before now {now}"
+                )));
+            }
+            self.push(at, 1, EventKind::Wakeup);
+        }
+        Ok(())
+    }
+}
+
 struct Sim<'a, S: SimSut + ?Sized> {
     sut: &'a mut S,
-    heap: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue<'a>,
     recorder: Recorder,
     acc_rng: Rng64,
     log_probability: f64,
-    seq: u64,
-    events_processed: u64,
     sink: &'a dyn TraceSink,
     metrics: Option<&'a MetricsRegistry>,
-    sampler: Option<&'a TimeSeriesSampler>,
 }
 
 impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
@@ -115,48 +205,13 @@ impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
         };
         Self {
             sut,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::new(sampler, metrics),
             recorder: Recorder::new(),
             acc_rng: Rng64::new(settings.seeds.accuracy_seed),
             log_probability,
-            seq: 0,
-            events_processed: 0,
             sink,
             metrics,
-            sampler,
         }
-    }
-
-    fn push(&mut self, at: Nanos, order: u8, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event {
-            at,
-            order,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
-    fn schedule_arrival(&mut self, at: Nanos) {
-        self.push(at, 0, EventKind::Arrival);
-    }
-
-    fn pop(&mut self) -> Result<Option<Event>, LoadGenError> {
-        self.events_processed += 1;
-        if self.events_processed > MAX_EVENTS {
-            return Err(LoadGenError::SutProtocol(format!(
-                "event budget of {MAX_EVENTS} exhausted; SUT appears to loop"
-            )));
-        }
-        let event = self.heap.pop().map(|Reverse(e)| e);
-        // Sample *before* the event is processed, so each row reflects the
-        // state strictly before its boundary.
-        if let (Some(sampler), Some(metrics), Some(event)) =
-            (self.sampler, self.metrics, event.as_ref())
-        {
-            sampler.advance_to(event.at.as_nanos(), metrics);
-        }
-        Ok(event)
     }
 
     fn issue(&mut self, query: Query) -> Result<(), LoadGenError> {
@@ -185,34 +240,13 @@ impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
                 &TraceEvent::QuerySent { query_id: query.id },
             );
         }
-        self.apply(now, reaction)
-    }
-
-    fn apply(&mut self, now: Nanos, reaction: SutReaction) -> Result<(), LoadGenError> {
-        for completion in reaction.completions {
-            if completion.finished_at < now {
-                return Err(LoadGenError::SutProtocol(format!(
-                    "query {} completion stamped {} in the past of {}",
-                    completion.query_id, completion.finished_at, now
-                )));
-            }
-            self.push(completion.finished_at, 2, EventKind::Completion(completion));
-        }
-        if let Some(at) = reaction.wakeup_at {
-            if at < now {
-                return Err(LoadGenError::SutProtocol(format!(
-                    "wakeup requested at {at}, before now {now}"
-                )));
-            }
-            self.push(at, 1, EventKind::Wakeup);
-        }
-        Ok(())
+        self.queue.apply(now, reaction)
     }
 
     fn wakeup(&mut self, now: Nanos) -> Result<(), LoadGenError> {
         profile_span!("loadgen/wakeup");
         let reaction = self.sut.on_wakeup(now);
-        self.apply(now, reaction)
+        self.queue.apply(now, reaction)
     }
 
     /// Re-sends a checkpoint's outstanding query to the (reset) SUT
@@ -236,7 +270,7 @@ impl<'a, S: SimSut + ?Sized> Sim<'a, S> {
             );
         }
         let reaction = self.sut.on_query(now, &query);
-        self.apply(now, reaction)
+        self.queue.apply(now, reaction)
     }
 
     /// Restores the checkpointed recorder and accuracy RNG, then
@@ -350,8 +384,8 @@ where
     run_instrumented(settings, qsl, sut, &Instruments::traced(sink))
 }
 
-/// The one real simulated issue loop; [`run_simulated`] and
-/// [`run_simulated_traced`] are thin wrappers over it.
+/// [`run_simulated`] with the full instrumentation bundle;
+/// [`run_simulated`] and [`run_simulated_traced`] are thin wrappers over it.
 ///
 /// Beyond the PR 1 tracing contract, `instruments` may attach a
 /// [`TimeSeriesSampler`] — snapshotted once per crossed interval boundary
@@ -373,20 +407,85 @@ where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
 {
-    run_sim(settings, qsl, sut, instruments, None)
+    run_sim(settings, qsl, sut, instruments, None, None).map(unhalted)
 }
 
-/// The shared simulated run body. `replay` switches the performance-mode
-/// issue loop from the scenario's generative arrival process to an
-/// explicit recorded schedule (`crate::replay`); everything else —
-/// seeding, recording, validation, scoring — is identical.
+/// Runs a fresh crash-safe benchmark: identical to [`run_instrumented`],
+/// plus a durable run journal at `cfg.path` capturing a [`Checkpoint`]
+/// every `cfg.checkpoint_every` issued queries. A process killed mid-run
+/// leaves a journal [`resume_journaled`] can continue from.
+///
+/// Journaled runs support the server and offline scenarios in performance
+/// mode — the completion-driven scenarios (single-/multi-stream) have no
+/// issue boundary independent of the SUT to checkpoint at.
+///
+/// # Errors
+///
+/// [`LoadGenError::Journal`] on journal I/O failure, plus the
+/// [`run_simulated`] contract.
+pub fn run_journaled<Q, S>(
+    settings: &TestSettings,
+    qsl: &mut Q,
+    sut: &mut S,
+    instruments: &Instruments<'_>,
+    cfg: &JournalConfig,
+) -> Result<JournaledRun, LoadGenError>
+where
+    Q: QuerySampleLibrary + ?Sized,
+    S: SimSut + ?Sized,
+{
+    run_sim(settings, qsl, sut, instruments, None, Some((cfg, false)))
+}
+
+/// Resumes a crash-interrupted run from its journal: rolls back to the
+/// last complete checkpoint (a torn tail is truncated), restores the
+/// scenario cursor, RNG streams, and recorder, re-issues the queries that
+/// were outstanding at the checkpoint, and continues the run — appending
+/// further checkpoints to the same journal.
+///
+/// The resumed run's *logical* detail log (ids, schedule, sample counts,
+/// error flags) is identical to an uninterrupted run's whenever the SUT's
+/// per-query outcome is a function of the query alone; post-crash
+/// latencies are re-derived against the reset SUT and may differ for
+/// stateful (queueing) SUTs.
+///
+/// # Errors
+///
+/// [`LoadGenError::Journal`] when the journal is unreadable or belongs to
+/// a different run (settings/QSL digest mismatch), plus the
+/// [`run_simulated`] contract.
+pub fn resume_journaled<Q, S>(
+    settings: &TestSettings,
+    qsl: &mut Q,
+    sut: &mut S,
+    instruments: &Instruments<'_>,
+    cfg: &JournalConfig,
+) -> Result<JournaledRun, LoadGenError>
+where
+    Q: QuerySampleLibrary + ?Sized,
+    S: SimSut + ?Sized,
+{
+    run_sim(settings, qsl, sut, instruments, None, Some((cfg, true)))
+}
+
+/// The outcome of a run that has no journal, and so cannot halt.
+pub(crate) fn unhalted(run: JournaledRun) -> RunOutcome {
+    run.finished().expect("only a journaled run halts")
+}
+
+/// The one simulated run body. `replay` swaps the performance-mode
+/// arrival process for a recorded schedule (`crate::replay`); `journal`
+/// attaches a run journal as `(config, resume)`. Everything else —
+/// seeding, recording, validation, scoring — is shared, and only a
+/// journaled run can come back [`JournaledRun::Halted`].
 pub(crate) fn run_sim<Q, S>(
     settings: &TestSettings,
     qsl: &mut Q,
     sut: &mut S,
     instruments: &Instruments<'_>,
     replay: Option<&ReplaySchedule>,
-) -> Result<RunOutcome, LoadGenError>
+    journal: Option<(&JournalConfig, bool)>,
+) -> Result<JournaledRun, LoadGenError>
 where
     Q: QuerySampleLibrary + ?Sized,
     S: SimSut + ?Sized,
@@ -394,53 +493,82 @@ where
     profile_span!("loadgen/run");
     let sink = instruments.sink;
     settings.validate()?;
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
+    if journal.is_some()
+        && !(settings.mode == TestMode::PerformanceOnly
+            && matches!(settings.scenario, Scenario::Server | Scenario::Offline))
+    {
+        return Err(LoadGenError::BadSettings(format!(
+            "journaled runs support the server and offline scenarios in performance mode, not {}",
+            settings.scenario
         )));
     }
     sut.reset();
-    // Untimed sample loading (Figure 3, steps 1-4).
-    let loaded: Vec<usize> = match settings.mode {
-        TestMode::PerformanceOnly => (0..qsl.performance_sample_count()).collect(),
-        TestMode::AccuracyOnly => (0..qsl.total_sample_count()).collect(),
-    };
-    {
+    let loaded = {
         profile_span!("loadgen/load_samples");
-        qsl.load_samples(&loaded);
-    }
+        load_samples(settings, qsl)?
+    };
+    let population = loaded.len();
+    let (mut tap, restored) = match journal {
+        Some((cfg, resume)) => {
+            let (journal, restored) = attach_journal(settings, population, cfg, resume)?;
+            (Some(JournalTap { journal, cfg }), restored)
+        }
+        None => (None, None),
+    };
+    let resumed = restored.is_some();
 
     let own_registry =
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
-    if sink.enabled() {
-        sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: "issue".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
+    record_start(sink, settings, resumed);
     let mut sim = Sim::new(settings, sut, sink, registry, instruments.sampler);
-    {
+    if let Some(cp) = &restored {
+        sim.restore(cp)?;
+    }
+    let halted = {
         profile_span!("loadgen/event_loop");
         match (settings.mode, replay) {
-            (TestMode::AccuracyOnly, _) => run_accuracy(settings, &loaded, &mut sim)?,
+            // Accuracy mode goes through the entire data set, once, as one
+            // batch.
+            (TestMode::AccuracyOnly, _) => run_batch(&mut sim, &loaded, [0; 4], &mut tap, false)?,
             (TestMode::PerformanceOnly, Some(schedule)) => {
-                run_replay(schedule, loaded.len(), &mut sim)?
+                run_replay(schedule, population, &mut sim)?;
+                false
             }
             (TestMode::PerformanceOnly, None) => match settings.scenario {
-                Scenario::SingleStream => run_single_stream(settings, loaded.len(), &mut sim)?,
-                Scenario::MultiStream => run_multi_stream(settings, loaded.len(), &mut sim)?,
-                Scenario::Server => run_server(settings, loaded.len(), &mut sim)?,
-                Scenario::Offline => run_offline(settings, loaded.len(), &mut sim)?,
+                Scenario::SingleStream => {
+                    run_single_stream(settings, population, &mut sim)?;
+                    false
+                }
+                Scenario::MultiStream => {
+                    run_multi_stream(settings, population, &mut sim)?;
+                    false
+                }
+                Scenario::Server => {
+                    let mut cursor = match &restored {
+                        Some(cp) => ServerCursor::restore(settings, cp)?,
+                        None => ServerCursor::fresh(settings)?,
+                    };
+                    run_server(settings, population, &mut sim, &mut cursor, &mut tap)?
+                }
+                Scenario::Offline => {
+                    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
+                    let count = settings.offline_min_sample_count as usize;
+                    let indices = qsl_rng.sample_with_replacement(population, count);
+                    run_batch(&mut sim, &indices, qsl_rng.state(), &mut tap, resumed)?
+                }
             },
         }
-    }
+    };
 
     qsl.unload_samples(&loaded);
+    if let Some(tap) = &mut tap {
+        if halted {
+            sink.flush();
+            return Ok(tap.journal.halted(tap.cfg));
+        }
+        tap.journal.sync()?;
+    }
     let recorder = std::mem::take(&mut sim.recorder);
     let outcome = {
         profile_span!("loadgen/score");
@@ -450,7 +578,59 @@ where
         sampler.finish(outcome.result.duration.as_nanos(), registry);
     }
     sink.flush();
-    Ok(outcome)
+    Ok(JournaledRun::Finished(Box::new(outcome)))
+}
+
+/// Checks that the QSL has samples, then loads the ones the mode reads
+/// (untimed, Figure 3 steps 1-4): the performance set, or the whole data
+/// set in accuracy mode. Returns the loaded indices. Shared by both
+/// clocks.
+pub(crate) fn load_samples<Q: QuerySampleLibrary + ?Sized>(
+    settings: &TestSettings,
+    qsl: &mut Q,
+) -> Result<Vec<usize>, LoadGenError> {
+    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
+        return Err(LoadGenError::BadQsl(format!(
+            "QSL {} has no samples",
+            qsl.name()
+        )));
+    }
+    let loaded: Vec<usize> = match settings.mode {
+        TestMode::PerformanceOnly => (0..qsl.performance_sample_count()).collect(),
+        TestMode::AccuracyOnly => (0..qsl.total_sample_count()).collect(),
+    };
+    qsl.load_samples(&loaded);
+    Ok(loaded)
+}
+
+/// Creates a run journal, or reopens one and returns the checkpoint to
+/// resume from. Shared by both clocks.
+pub(crate) fn attach_journal(
+    settings: &TestSettings,
+    population: usize,
+    cfg: &JournalConfig,
+    resume: bool,
+) -> Result<(RunJournal, Option<Checkpoint>), LoadGenError> {
+    let meta = RunMeta {
+        scenario: settings.scenario.to_string(),
+        digest: settings_digest(settings, population as u64),
+        qsl_size: population as u64,
+    };
+    RunJournal::attach(cfg, &meta, resume)
+}
+
+/// Opens the detail log: the `issue` phase, or `resume` when the run
+/// continues from a checkpoint. Shared by both clocks.
+pub(crate) fn record_start(sink: &dyn TraceSink, settings: &TestSettings, resumed: bool) {
+    if sink.enabled() {
+        sink.record(
+            0,
+            &TraceEvent::RunPhase {
+                phase: if resumed { "resume" } else { "issue" }.into(),
+                scenario: settings.scenario.to_string(),
+            },
+        );
+    }
 }
 
 /// Scores a finished run: metric, latency stats, and validity checks.
@@ -559,9 +739,9 @@ fn compute_metric(
 
 /// Drains every remaining event; used once no further queries will issue.
 fn drain<S: SimSut + ?Sized>(sim: &mut Sim<'_, S>) -> Result<(), LoadGenError> {
-    while let Some(event) = sim.pop()? {
+    while let Some(event) = sim.queue.pop()? {
         match event.kind {
-            EventKind::Arrival => {
+            EventKind::Arrival(_) => {
                 return Err(LoadGenError::SutProtocol(
                     "arrival event in drain phase".into(),
                 ))
@@ -599,9 +779,9 @@ fn run_single_stream<S: SimSut + ?Sized>(
         &mut qsl_rng,
         Nanos::ZERO,
     )?;
-    while let Some(event) = sim.pop()? {
+    while let Some(event) = sim.queue.pop()? {
         match event.kind {
-            EventKind::Arrival => unreachable!("single-stream issues on completion"),
+            EventKind::Arrival(_) => unreachable!("single-stream issues on completion"),
             EventKind::Wakeup => sim.wakeup(event.at)?,
             EventKind::Completion(c) => {
                 let now = c.finished_at;
@@ -663,20 +843,11 @@ impl ServerCursor {
     }
 }
 
-fn run_server<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let mut cursor = ServerCursor::fresh(settings)?;
-    run_server_loop(settings, population, sim, &mut cursor, &mut None).map(|_| ())
-}
-
 /// The one server-scenario event loop, shared by plain and journaled runs.
 /// With a journal tap attached, a checkpoint is captured every
 /// `checkpoint_every` issued queries; returns `true` when the tap's armed
 /// halt fired (the run stops at that boundary, as a killed process would).
-fn run_server_loop<S: SimSut + ?Sized>(
+fn run_server<S: SimSut + ?Sized>(
     settings: &TestSettings,
     population: usize,
     sim: &mut Sim<'_, S>,
@@ -684,11 +855,11 @@ fn run_server_loop<S: SimSut + ?Sized>(
     journal: &mut Option<JournalTap<'_>>,
 ) -> Result<bool, LoadGenError> {
     if let Some(at) = cursor.pending_arrival {
-        sim.schedule_arrival(at);
+        sim.queue.schedule_arrival(at, 0);
     }
-    while let Some(event) = sim.pop()? {
+    while let Some(event) = sim.queue.pop()? {
         match event.kind {
-            EventKind::Arrival => {
+            EventKind::Arrival(_) => {
                 let at = cursor
                     .pending_arrival
                     .take()
@@ -705,7 +876,7 @@ fn run_server_loop<S: SimSut + ?Sized>(
                 // satisfied.
                 if cursor.issued < settings.min_query_count || next < settings.min_duration {
                     cursor.pending_arrival = Some(next);
-                    sim.schedule_arrival(next);
+                    sim.queue.schedule_arrival(next, 0);
                 }
                 if let Some(tap) = journal.as_mut() {
                     if cursor.issued.is_multiple_of(tap.cfg.checkpoint_every) {
@@ -765,9 +936,9 @@ fn run_multi_stream<S: SimSut + ?Sized>(
         )?,
         Nanos::ZERO,
     ));
-    while let Some(event) = sim.pop()? {
+    while let Some(event) = sim.queue.pop()? {
         match event.kind {
-            EventKind::Arrival => {
+            EventKind::Arrival(_) => {
                 let at = event.at;
                 in_flight = Some((
                     issue(sim, &mut issued, &mut next_sample_id, &mut qsl_rng, at)?,
@@ -807,27 +978,13 @@ fn run_multi_stream<S: SimSut + ?Sized>(
                     }
                     let next_boundary = boundary + interval.mul(consumed);
                     if issued < settings.min_query_count || next_boundary < settings.min_duration {
-                        sim.schedule_arrival(next_boundary);
+                        sim.queue.schedule_arrival(next_boundary, 0);
                     }
                 }
             }
         }
     }
     Ok(())
-}
-
-fn run_offline<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let count = settings.offline_min_sample_count as usize;
-    let indices = qsl_rng.sample_with_replacement(population, count);
-    let mut next_sample_id = 0u64;
-    let query = build_query(0, &mut next_sample_id, &indices, Nanos::ZERO);
-    sim.issue(query)?;
-    drain(sim)
 }
 
 /// The journal attachment a journaled run threads through its issue loop.
@@ -874,205 +1031,6 @@ impl JournalTap<'_> {
     }
 }
 
-/// Offline journaled body: one query, one checkpoint right after its
-/// issue, then the completion drain. Resume with a restored recorder
-/// skips the issue entirely (the query is outstanding and was re-issued
-/// during restore) and goes straight to the drain.
-fn run_offline_journaled<S: SimSut + ?Sized>(
-    settings: &TestSettings,
-    population: usize,
-    sim: &mut Sim<'_, S>,
-    tap: &mut JournalTap<'_>,
-    resumed: bool,
-) -> Result<bool, LoadGenError> {
-    if !resumed {
-        let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-        let count = settings.offline_min_sample_count as usize;
-        let indices = qsl_rng.sample_with_replacement(population, count);
-        let mut next_sample_id = 0u64;
-        let query = build_query(0, &mut next_sample_id, &indices, Nanos::ZERO);
-        sim.issue(query)?;
-        let sched_state = ([0u64; 4], 0.0);
-        let halted = tap.capture(
-            sim,
-            1,
-            next_sample_id,
-            Nanos::ZERO,
-            None,
-            qsl_rng.state(),
-            sched_state,
-        )?;
-        if halted {
-            return Ok(true);
-        }
-    }
-    drain(sim)?;
-    Ok(false)
-}
-
-/// Runs a fresh crash-safe benchmark: identical to [`run_instrumented`],
-/// plus a durable run journal at `cfg.path` capturing a [`Checkpoint`]
-/// every `cfg.checkpoint_every` issued queries. A process killed mid-run
-/// leaves a journal [`resume_journaled`] can continue from.
-///
-/// Journaled runs support the server and offline scenarios in performance
-/// mode — the completion-driven scenarios (single-/multi-stream) have no
-/// issue boundary independent of the SUT to checkpoint at.
-///
-/// # Errors
-///
-/// [`LoadGenError::Journal`] on journal I/O failure, plus the
-/// [`run_simulated`] contract.
-pub fn run_journaled<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    instruments: &Instruments<'_>,
-    cfg: &JournalConfig,
-) -> Result<JournaledRun, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    run_journaled_sim(settings, qsl, sut, instruments, cfg, false)
-}
-
-/// Resumes a crash-interrupted run from its journal: rolls back to the
-/// last complete checkpoint (a torn tail is truncated), restores the
-/// scenario cursor, RNG streams, and recorder, re-issues the queries that
-/// were outstanding at the checkpoint, and continues the run — appending
-/// further checkpoints to the same journal.
-///
-/// The resumed run's *logical* detail log (ids, schedule, sample counts,
-/// error flags) is identical to an uninterrupted run's whenever the SUT's
-/// per-query outcome is a function of the query alone; post-crash
-/// latencies are re-derived against the reset SUT and may differ for
-/// stateful (queueing) SUTs.
-///
-/// # Errors
-///
-/// [`LoadGenError::Journal`] when the journal is unreadable or belongs to
-/// a different run (settings/QSL digest mismatch), plus the
-/// [`run_simulated`] contract.
-pub fn resume_journaled<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    instruments: &Instruments<'_>,
-    cfg: &JournalConfig,
-) -> Result<JournaledRun, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    run_journaled_sim(settings, qsl, sut, instruments, cfg, true)
-}
-
-fn run_journaled_sim<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    instruments: &Instruments<'_>,
-    cfg: &JournalConfig,
-    resume: bool,
-) -> Result<JournaledRun, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    profile_span!("loadgen/run_journaled");
-    let sink = instruments.sink;
-    settings.validate()?;
-    if !matches!(settings.mode, TestMode::PerformanceOnly) {
-        return Err(LoadGenError::BadSettings(
-            "journaled runs are performance-mode only".into(),
-        ));
-    }
-    if !matches!(settings.scenario, Scenario::Server | Scenario::Offline) {
-        return Err(LoadGenError::BadSettings(format!(
-            "journaled runs support the server and offline scenarios, not {}",
-            settings.scenario
-        )));
-    }
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
-        )));
-    }
-    sut.reset();
-    let loaded: Vec<usize> = (0..qsl.performance_sample_count()).collect();
-    qsl.load_samples(&loaded);
-    let population = loaded.len();
-
-    let meta = RunMeta {
-        scenario: settings.scenario.to_string(),
-        digest: settings_digest(settings, population as u64),
-        qsl_size: population as u64,
-    };
-    let (journal, restored) = RunJournal::attach(cfg, &meta, resume)?;
-
-    let own_registry =
-        (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
-    let registry = instruments.metrics.or(own_registry.as_ref());
-    if sink.enabled() {
-        sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: if restored.is_some() {
-                    "resume".into()
-                } else {
-                    "issue".into()
-                },
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut sim = Sim::new(settings, sut, sink, registry, instruments.sampler);
-    let resumed = restored.is_some();
-    if let Some(cp) = &restored {
-        sim.restore(cp)?;
-    }
-    let mut tap = JournalTap { journal, cfg };
-    let halted = match settings.scenario {
-        Scenario::Server => {
-            let mut cursor = match &restored {
-                Some(cp) => ServerCursor::restore(settings, cp)?,
-                None => ServerCursor::fresh(settings)?,
-            };
-            let mut journal = Some(tap);
-            let halted =
-                run_server_loop(settings, population, &mut sim, &mut cursor, &mut journal)?;
-            tap = journal.expect("journal tap survives the loop");
-            halted
-        }
-        Scenario::Offline => {
-            run_offline_journaled(settings, population, &mut sim, &mut tap, resumed)?
-        }
-        _ => unreachable!("scenario gate above"),
-    };
-    qsl.unload_samples(&loaded);
-    if halted {
-        sink.flush();
-        return Ok(JournaledRun::Halted {
-            // A torn halt's frame is not counted (it is not a complete
-            // checkpoint), so the boundary seq is `checkpoints` itself.
-            checkpoint: tap
-                .journal
-                .checkpoints
-                .saturating_sub(if cfg.torn_halt { 0 } else { 1 }),
-        });
-    }
-    tap.journal.sync()?;
-    let recorder = std::mem::take(&mut sim.recorder);
-    let outcome = finish_run(settings, sut.name(), qsl.name(), recorder, sink, registry);
-    if let (Some(sampler), Some(registry)) = (instruments.sampler, registry) {
-        sampler.finish(outcome.result.duration.as_nanos(), registry);
-    }
-    sink.flush();
-    Ok(JournaledRun::Finished(Box::new(outcome)))
-}
-
 /// Re-issues a recorded schedule: explicit arrival times and explicit
 /// per-query sample indices, open loop. The scenario's generative rules
 /// are bypassed — the schedule *is* the run — but recording, validity
@@ -1087,10 +1045,10 @@ fn run_replay<S: SimSut + ?Sized>(
     if schedule.arrivals.is_empty() {
         return Ok(());
     }
-    sim.schedule_arrival(schedule.arrivals[0]);
-    while let Some(event) = sim.pop()? {
+    sim.queue.schedule_arrival(schedule.arrivals[0], 0);
+    while let Some(event) = sim.queue.pop()? {
         match event.kind {
-            EventKind::Arrival => {
+            EventKind::Arrival(_) => {
                 let at = schedule.arrivals[next];
                 debug_assert_eq!(at, event.at);
                 // A recorded trace may index a larger QSL than the one it
@@ -1104,7 +1062,7 @@ fn run_replay<S: SimSut + ?Sized>(
                 next += 1;
                 sim.issue(query)?;
                 if next < schedule.arrivals.len() {
-                    sim.schedule_arrival(schedule.arrivals[next]);
+                    sim.queue.schedule_arrival(schedule.arrivals[next], 0);
                 }
             }
             EventKind::Wakeup => sim.wakeup(event.at)?,
@@ -1114,16 +1072,31 @@ fn run_replay<S: SimSut + ?Sized>(
     Ok(())
 }
 
-fn run_accuracy<S: SimSut + ?Sized>(
-    _settings: &TestSettings,
-    loaded: &[usize],
+/// One batch query over `indices` at time zero, then the completion
+/// drain: the offline scenario and accuracy mode. With a journal tap, one
+/// checkpoint (carrying `qsl_rng`, the sampling state after the draw)
+/// follows the issue; a `resumed` run skips the issue — the restore
+/// re-sent the outstanding query — and goes straight to the drain. Returns
+/// `true` when the tap's armed halt fired.
+fn run_batch<S: SimSut + ?Sized>(
     sim: &mut Sim<'_, S>,
-) -> Result<(), LoadGenError> {
-    // Accuracy mode goes through the entire data set, once, as one batch.
-    let mut next_sample_id = 0u64;
-    let query = build_query(0, &mut next_sample_id, loaded, Nanos::ZERO);
-    sim.issue(query)?;
-    drain(sim)
+    indices: &[usize],
+    qsl_rng: [u64; 4],
+    journal: &mut Option<JournalTap<'_>>,
+    resumed: bool,
+) -> Result<bool, LoadGenError> {
+    if !resumed {
+        let mut next_sample_id = 0u64;
+        sim.issue(build_query(0, &mut next_sample_id, indices, Nanos::ZERO))?;
+        if let Some(tap) = journal {
+            let sched = ([0u64; 4], 0.0);
+            if tap.capture(sim, 1, next_sample_id, Nanos::ZERO, None, qsl_rng, sched)? {
+                return Ok(true);
+            }
+        }
+    }
+    drain(sim)?;
+    Ok(false)
 }
 
 #[cfg(test)]

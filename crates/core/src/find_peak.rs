@@ -267,28 +267,9 @@ where
     find_peak_multistream_instrumented(settings, qsl, sut, options, &Instruments::none())
 }
 
-/// [`find_peak_multistream`] with a trace sink; see
-/// [`find_peak_server_qps_traced`] for the event contract.
-///
-/// # Errors
-///
-/// Same contract as [`find_peak_multistream`].
-pub fn find_peak_multistream_traced<Q, S>(
-    settings: &TestSettings,
-    qsl: &mut Q,
-    sut: &mut S,
-    options: PeakSearchOptions,
-    sink: &dyn TraceSink,
-) -> Result<PeakSearchOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    find_peak_multistream_instrumented(settings, qsl, sut, options, &Instruments::traced(sink))
-}
-
-/// The one real multistream peak search; see
-/// [`find_peak_server_qps_instrumented`] for the instrumentation contract.
+/// [`find_peak_multistream`] with the instrumentation bundle; see
+/// [`find_peak_server_qps_traced`] for the step-event contract and
+/// [`find_peak_server_qps_instrumented`] for what is instrumented.
 ///
 /// # Errors
 ///

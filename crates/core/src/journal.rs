@@ -505,6 +505,17 @@ impl RunJournal {
             .map_err(|e| journal_err("torn checkpoint append", e))
     }
 
+    /// The verdict of a run whose armed halt just fired. A torn halt's
+    /// frame is not counted (it is not a complete checkpoint), so its
+    /// boundary seq is `checkpoints` itself.
+    pub(crate) fn halted(&self, cfg: &JournalConfig) -> JournaledRun {
+        JournaledRun::Halted {
+            checkpoint: self
+                .checkpoints
+                .saturating_sub(if cfg.torn_halt { 0 } else { 1 }),
+        }
+    }
+
     /// Forces all appended frames onto disk.
     ///
     /// # Errors

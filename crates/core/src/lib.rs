@@ -18,8 +18,10 @@
 //!   and [`sut::RealtimeSut`] for wall-clock runs.
 //! * [`schedule`] — arrival-time generation (Poisson for server, fixed
 //!   interval for multistream, sequential and batch for the rest).
-//! * [`des`] — the discrete-event issue loop used by the experiments; a
-//!   270,336-query server run finishes in well under a second of wall time.
+//! * [`des`] — the discrete-event clock used by the experiments: one event
+//!   queue and one run body for every scenario, accuracy mode, replay, and
+//!   journaled runs; a 270,336-query server run finishes in well under a
+//!   second of wall time.
 //! * [`journal`] — crash safety: run checkpoints (scenario cursor, RNG
 //!   states, recorder image, wire epoch) appended to a durable `MLPJ`
 //!   write-ahead journal at deterministic boundaries, and the
@@ -27,11 +29,12 @@
 //! * [`instrument`] — [`instrument::Instruments`], the observability
 //!   bundle (trace sink, time-series sampler, shared metrics registry)
 //!   accepted by the `*_instrumented` runners.
-//! * [`realtime`] — a thread-based wall-clock issue loop mirroring the C++
-//!   LoadGen's operation, used by the quickstart example and tests.
+//! * [`realtime`] — the wall-clock clock, mirroring the C++ LoadGen's
+//!   operation: one run body, and one thread-pool open-loop driver for the
+//!   server scenario (plain, journaled, resumed) and wall-clock replay.
 //! * [`replay`] — a recorded schedule as a first-class arrival process:
-//!   [`replay::ReplaySchedule`] re-issued through the simulated or
-//!   wall-clock loop with the recorded scenario's validity rules intact.
+//!   [`replay::ReplaySchedule`] re-issued through either clock's run body
+//!   with the recorded scenario's validity rules intact.
 //! * [`record`] / [`results`] / [`validate`] — latency bookkeeping, metric
 //!   computation, and the validity rules of Tables III–V.
 //! * [`requirements`] — Table V minimum query/sample counts.
@@ -39,7 +42,7 @@
 //!   multistream scenarios.
 //! * [`multitenant`] — the multitenancy extension the paper names as
 //!   planned LoadGen work: several server streams sharing one SUT, each
-//!   holding its own QoS.
+//!   holding its own QoS, merged on the DES event queue.
 //! * [`log`] — structured, serializable run logs (summary + per-query
 //!   detail + sampled accuracy payloads).
 //!

@@ -10,23 +10,23 @@
 //!
 //! Queries carry [`Query::tenant`](crate::query::Query::tenant), and query
 //! ids encode the tenant in the top byte so completions route back without
-//! any side channel.
+//! any side channel. The tenants' arrival streams merge on the simulated
+//! clock every other DES run uses (`des::EventQueue`): each arrival event
+//! carries its tenant index.
 
 use crate::config::{TestMode, TestSettings};
-use crate::des::{finish_run, RunOutcome};
+use crate::des::{finish_run, EventKind, EventQueue, RunOutcome};
 use crate::instrument::Instruments;
 use crate::qsl::QuerySampleLibrary;
-use crate::query::{Query, QueryCompletion, QuerySample};
+use crate::query::{Query, QuerySample};
 use crate::record::Recorder;
 use crate::scenario::Scenario;
-use crate::sut::{SimSut, SutReaction};
+use crate::sut::SimSut;
 use crate::time::Nanos;
 use crate::LoadGenError;
 use mlperf_stats::dist::PoissonProcess;
 use mlperf_stats::Rng64;
-use mlperf_trace::{profile_span, MetricsRegistry, TraceEvent, TraceSink};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use mlperf_trace::{profile_span, MetricsRegistry, TraceEvent};
 
 /// Bits reserved for the per-tenant sequence number inside a query id.
 const TENANT_SHIFT: u32 = 56;
@@ -36,52 +36,20 @@ pub fn tenant_of(query_id: u64) -> u32 {
     (query_id >> TENANT_SHIFT) as u32
 }
 
-#[derive(Debug)]
-enum EventKind {
-    Arrival(usize),
-    Wakeup,
-    Completion(QueryCompletion),
-}
-
-#[derive(Debug)]
-struct Event {
-    at: Nanos,
-    order: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Event {
-    fn key(&self) -> (Nanos, u8, u64) {
-        (self.at, self.order, self.seq)
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 struct Tenant {
     settings: TestSettings,
-    arrivals: Box<dyn Iterator<Item = Nanos>>,
+    arrivals: PoissonProcess,
     qsl_rng: Rng64,
     population: usize,
     issued: u64,
     recorder: Recorder,
     acc_rng: Rng64,
+}
+
+impl Tenant {
+    fn next_arrival(&mut self) -> Nanos {
+        Nanos::from_secs_f64(self.arrivals.next().expect("poisson process is infinite"))
+    }
 }
 
 /// Runs several server-scenario streams concurrently against one SUT.
@@ -108,29 +76,12 @@ where
     run_multitenant_server_instrumented(tenants, sut, &Instruments::none())
 }
 
-/// [`run_multitenant_server`] with a trace sink attached.
+/// [`run_multitenant_server`] with the full instrumentation bundle; the
+/// plain entry point is a thin wrapper over it.
 ///
-/// All tenants' events interleave into one stream in simulated-time order,
-/// which is exactly what a cross-tenant timeline needs; the tenant is
-/// recoverable from the query id via [`tenant_of`].
-///
-/// # Errors
-///
-/// Same contract as [`run_multitenant_server`].
-pub fn run_multitenant_server_traced<Q, S>(
-    tenants: &mut [(&TestSettings, &mut Q)],
-    sut: &mut S,
-    sink: &dyn TraceSink,
-) -> Result<Vec<RunOutcome>, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    run_multitenant_server_instrumented(tenants, sut, &Instruments::traced(sink))
-}
-
-/// The one real multitenant loop; the plain and `_traced` entry points are
-/// thin wrappers over it.
+/// All tenants' events interleave into one trace stream in simulated-time
+/// order, which is exactly what a cross-tenant timeline needs; the tenant
+/// is recoverable from the query id via [`tenant_of`].
 ///
 /// An attached [`mlperf_trace::TimeSeriesSampler`] observes the *combined*
 /// load: rows are emitted as the interleaved event stream crosses interval
@@ -183,11 +134,10 @@ where
             settings.server_target_qps,
             Rng64::new(settings.seeds.schedule_seed),
         )
-        .map_err(|e| LoadGenError::BadSettings(e.to_string()))?
-        .map(Nanos::from_secs_f64);
+        .map_err(|e| LoadGenError::BadSettings(e.to_string()))?;
         states.push(Tenant {
             settings: (*settings).clone(),
-            arrivals: Box::new(arrivals),
+            arrivals,
             qsl_rng: Rng64::new(settings.seeds.qsl_seed),
             population: loaded.len(),
             issued: 0,
@@ -200,45 +150,21 @@ where
         (instruments.metrics.is_none() && instruments.wants_metrics()).then(MetricsRegistry::new);
     let registry = instruments.metrics.or(own_registry.as_ref());
 
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let mut queue = EventQueue::new(instruments.sampler, registry);
     let mut sample_id = 0u64;
     // Prime each tenant's first arrival.
-    let mut pending_arrivals: Vec<Option<Nanos>> = Vec::with_capacity(states.len());
     for (t, state) in states.iter_mut().enumerate() {
-        let at = state.arrivals.next().expect("poisson process is infinite");
-        pending_arrivals.push(Some(at));
-        seq += 1;
-        heap.push(Reverse(Event {
-            at,
-            order: 0,
-            seq,
-            kind: EventKind::Arrival(t),
-        }));
+        queue.schedule_arrival(state.next_arrival(), t);
     }
 
-    let mut events = 0u64;
     let mut horizon = Nanos::ZERO;
-    while let Some(Reverse(event)) = heap.pop() {
-        events += 1;
-        if events > 200_000_000 {
-            return Err(LoadGenError::SutProtocol(
-                "multitenant event budget exhausted; SUT appears to loop".into(),
-            ));
-        }
+    while let Some(event) = queue.pop()? {
         horizon = horizon.max(event.at);
-        // Sample *before* the event is processed, so each row reflects the
-        // state strictly up to its interval boundary.
-        if let (Some(sampler), Some(metrics)) = (instruments.sampler, registry) {
-            sampler.advance_to(event.at.as_nanos(), metrics);
-        }
         match event.kind {
             EventKind::Arrival(t) => {
                 profile_span!("loadgen/mt_arrival");
                 let state = &mut states[t];
-                let at = pending_arrivals[t]
-                    .take()
-                    .expect("arrival event without pending arrival");
+                let at = event.at;
                 let indices = state
                     .qsl_rng
                     .sample_with_replacement(state.population, state.settings.samples_per_query);
@@ -277,25 +203,18 @@ where
                 if sink.enabled() {
                     sink.record(at.as_nanos(), &TraceEvent::QuerySent { query_id: id });
                 }
-                apply(&mut heap, &mut seq, at, reaction)?;
-                let next = state.arrivals.next().expect("poisson process is infinite");
+                queue.apply(at, reaction)?;
+                let next = state.next_arrival();
                 if state.issued < state.settings.min_query_count
                     || next < state.settings.min_duration
                 {
-                    pending_arrivals[t] = Some(next);
-                    seq += 1;
-                    heap.push(Reverse(Event {
-                        at: next,
-                        order: 0,
-                        seq,
-                        kind: EventKind::Arrival(t),
-                    }));
+                    queue.schedule_arrival(next, t);
                 }
             }
             EventKind::Wakeup => {
                 profile_span!("loadgen/mt_wakeup");
                 let reaction = sut.on_wakeup(event.at);
-                apply(&mut heap, &mut seq, event.at, reaction)?;
+                queue.apply(event.at, reaction)?;
             }
             EventKind::Completion(completion) => {
                 profile_span!("loadgen/mt_completion");
@@ -365,44 +284,6 @@ where
     Ok(outcomes)
 }
 
-fn apply(
-    heap: &mut BinaryHeap<Reverse<Event>>,
-    seq: &mut u64,
-    now: Nanos,
-    reaction: SutReaction,
-) -> Result<(), LoadGenError> {
-    for completion in reaction.completions {
-        if completion.finished_at < now {
-            return Err(LoadGenError::SutProtocol(format!(
-                "query {} completion stamped {} in the past of {}",
-                completion.query_id, completion.finished_at, now
-            )));
-        }
-        *seq += 1;
-        heap.push(Reverse(Event {
-            at: completion.finished_at,
-            order: 2,
-            seq: *seq,
-            kind: EventKind::Completion(completion),
-        }));
-    }
-    if let Some(at) = reaction.wakeup_at {
-        if at < now {
-            return Err(LoadGenError::SutProtocol(format!(
-                "wakeup requested at {at}, before now {now}"
-            )));
-        }
-        *seq += 1;
-        heap.push(Reverse(Event {
-            at,
-            order: 1,
-            seq: *seq,
-            kind: EventKind::Wakeup,
-        }));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,7 +328,8 @@ mod tests {
         let mut sut = FixedLatencySut::new("shared", Nanos::from_micros(100));
         let sink = RingBufferSink::unbounded();
         let mut tenants: Vec<(&TestSettings, &mut MemoryQsl)> = vec![(&a, &mut qa), (&b, &mut qb)];
-        run_multitenant_server_traced(&mut tenants, &mut sut, &sink).unwrap();
+        run_multitenant_server_instrumented(&mut tenants, &mut sut, &Instruments::traced(&sink))
+            .unwrap();
         let records = sink.snapshot();
         assert_eq!(sink.dropped(), 0);
 

@@ -1,11 +1,21 @@
 //! The wall-clock issue loop.
 //!
 //! Drives a [`RealtimeSut`] exactly the way the reference C++ LoadGen drives
-//! a real system: real sleeps between arrivals, a worker pool for the server
-//! scenario's concurrent queries, and `Instant`-based latency measurement.
-//! The rulebook (seeding, scheduling, validation, metrics) is shared with
-//! the simulated loop, so the two runners agree wherever timing permits —
-//! an integration test asserts that.
+//! a real system: real sleeps between arrivals, a worker pool for the
+//! open-loop scenarios' concurrent queries, and `Instant`-based latency
+//! measurement. The rulebook (seeding, scheduling, validation, metrics) is
+//! shared with the simulated loop, so the two runners agree wherever timing
+//! permits — an integration test asserts that.
+//!
+//! Every wall-clock run goes through one run body (settings and QSL
+//! checks, sample loading, optional journal, scoring). Single-stream,
+//! multistream, offline and accuracy mode issue synchronously from the
+//! calling thread; every open-loop run — the server scenario, plain,
+//! traced, journaled or resumed, and wall-clock replay of a recorded
+//! schedule (`crate::replay`) — goes through one open-loop driver: one
+//! worker pool, one sleep–issue loop, one halt path, one drain. A query
+//! is stamped issued when the driver hands it to the pool, never before
+//! its scheduled arrival; latency is measured from the arrival.
 //!
 //! Unlike the simulated loop, a realtime SUT can fail *structurally*: the
 //! wire extension puts the LoadGen/SUT boundary on a socket, and sockets
@@ -21,19 +31,19 @@
 //! engine of the network SUT benchmark (`netbench`).
 
 use crate::config::{TestMode, TestSettings};
-use crate::des::{finish_run, RunOutcome, ServerCursor};
-use crate::journal::{
-    settings_digest, Checkpoint, JournalConfig, JournaledRun, RunJournal, RunMeta,
+use crate::des::{
+    attach_journal, finish_run, load_samples, record_start, unhalted, RunOutcome, ServerCursor,
 };
+use crate::journal::{Checkpoint, JournalConfig, JournaledRun, RunJournal};
 use crate::qsl::QuerySampleLibrary;
 use crate::query::{Query, QueryCompletion};
 use crate::record::Recorder;
+use crate::replay::ReplaySchedule;
 use crate::scenario::Scenario;
 use crate::schedule::build_query;
 use crate::sut::{IssueOutcome, RealtimeSut};
 use crate::time::Nanos;
 use crate::LoadGenError;
-use mlperf_stats::dist::PoissonProcess;
 use mlperf_stats::Rng64;
 use mlperf_trace::{NoopSink, TraceEvent, TraceSink};
 use std::sync::mpsc;
@@ -102,341 +112,7 @@ pub fn run_realtime_traced_at<Q>(
 where
     Q: QuerySampleLibrary + ?Sized,
 {
-    settings.validate()?;
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
-        )));
-    }
-    let loaded: Vec<usize> = match settings.mode {
-        TestMode::PerformanceOnly => (0..qsl.performance_sample_count()).collect(),
-        TestMode::AccuracyOnly => (0..qsl.total_sample_count()).collect(),
-    };
-    qsl.load_samples(&loaded);
-    if sink.enabled() {
-        sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: "issue".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut recorder = Recorder::new();
-    match settings.mode {
-        TestMode::AccuracyOnly => run_batch(
-            settings,
-            &loaded,
-            sut.as_ref(),
-            &mut recorder,
-            1.0,
-            sink,
-            origin,
-        )?,
-        TestMode::PerformanceOnly => match settings.scenario {
-            Scenario::SingleStream => run_single_stream(
-                settings,
-                loaded.len(),
-                sut.as_ref(),
-                &mut recorder,
-                sink,
-                origin,
-            )?,
-            Scenario::MultiStream => run_multi_stream(
-                settings,
-                loaded.len(),
-                sut.as_ref(),
-                &mut recorder,
-                sink,
-                origin,
-            )?,
-            Scenario::Server => {
-                run_server(settings, loaded.len(), &sut, &mut recorder, sink, origin)?
-            }
-            Scenario::Offline => {
-                let mut rng = Rng64::new(settings.seeds.qsl_seed);
-                let indices = rng.sample_with_replacement(
-                    loaded.len(),
-                    settings.offline_min_sample_count as usize,
-                );
-                run_batch(
-                    settings,
-                    &indices,
-                    sut.as_ref(),
-                    &mut recorder,
-                    settings.accuracy_log_probability,
-                    sink,
-                    origin,
-                )?
-            }
-        },
-    }
-    qsl.unload_samples(&loaded);
-    Ok(finish_run(
-        settings,
-        sut.name(),
-        qsl.name(),
-        recorder,
-        sink,
-        None,
-    ))
-}
-
-pub(crate) fn log_sampler(settings: &TestSettings, probability: f64) -> impl FnMut(u64) -> bool {
-    let mut rng = Rng64::new(settings.seeds.accuracy_seed);
-    move |_| probability > 0.0 && rng.next_bool(probability)
-}
-
-pub(crate) fn record_issue_event(sink: &dyn TraceSink, query: &Query, issued_at: Nanos) {
-    if sink.enabled() {
-        sink.record(
-            issued_at.as_nanos(),
-            &TraceEvent::QueryIssued {
-                query_id: query.id,
-                sample_count: query.sample_count(),
-                delay_ns: issued_at.saturating_sub(query.scheduled_at).as_nanos(),
-            },
-        );
-    }
-}
-
-/// Resolves one [`IssueOutcome`] into the recorder and the detail log.
-///
-/// `Completed` and `Errored` outcomes produce a completion record (and a
-/// `QueryCompleted` / `QueryErrored` event); `Vanished` leaves the query
-/// outstanding so the incomplete-queries validity rule catches it.
-fn record_outcome<F: FnMut(u64) -> bool>(
-    recorder: &mut Recorder,
-    query: &Query,
-    outcome: IssueOutcome,
-    finished: Nanos,
-    log: F,
-    sink: &dyn TraceSink,
-) -> Result<(), LoadGenError> {
-    let completion = match outcome {
-        IssueOutcome::Completed(samples) => QueryCompletion::ok(query.id, finished, samples),
-        IssueOutcome::Errored => QueryCompletion::errored(query, finished),
-        IssueOutcome::Vanished => return Ok(()),
-    };
-    record_completion(recorder, &completion, query.scheduled_at, log, sink)
-}
-
-/// Records a ready-made completion (server scenario builds them on worker
-/// threads) plus its trace event.
-pub(crate) fn record_completion<F: FnMut(u64) -> bool>(
-    recorder: &mut Recorder,
-    completion: &QueryCompletion,
-    scheduled_at: Nanos,
-    log: F,
-    sink: &dyn TraceSink,
-) -> Result<(), LoadGenError> {
-    recorder.record_completion(completion, log)?;
-    if sink.enabled() {
-        let latency_ns = completion
-            .finished_at
-            .saturating_sub(scheduled_at)
-            .as_nanos();
-        let event = if completion.error {
-            TraceEvent::QueryErrored {
-                query_id: completion.query_id,
-                latency_ns,
-            }
-        } else {
-            TraceEvent::QueryCompleted {
-                query_id: completion.query_id,
-                latency_ns,
-            }
-        };
-        sink.record(completion.finished_at.as_nanos(), &event);
-    }
-    Ok(())
-}
-
-/// One query over `indices`, issued synchronously (offline + accuracy mode).
-fn run_batch(
-    settings: &TestSettings,
-    indices: &[usize],
-    sut: &dyn RealtimeSut,
-    recorder: &mut Recorder,
-    log_probability: f64,
-    sink: &dyn TraceSink,
-    start: Instant,
-) -> Result<(), LoadGenError> {
-    let mut next_sample_id = 0u64;
-    let query = build_query(0, &mut next_sample_id, indices, Nanos::ZERO);
-    recorder.record_issue(&query, Nanos::ZERO)?;
-    record_issue_event(sink, &query, Nanos::ZERO);
-    let outcome = sut.issue_outcome(&query);
-    let finished = Nanos::from(start.elapsed());
-    record_outcome(
-        recorder,
-        &query,
-        outcome,
-        finished,
-        log_sampler(settings, log_probability),
-        sink,
-    )
-}
-
-fn run_single_stream(
-    settings: &TestSettings,
-    population: usize,
-    sut: &dyn RealtimeSut,
-    recorder: &mut Recorder,
-    sink: &dyn TraceSink,
-    start: Instant,
-) -> Result<(), LoadGenError> {
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let mut log = log_sampler(settings, settings.accuracy_log_probability);
-    let mut next_sample_id = 0u64;
-    let mut issued = 0u64;
-    loop {
-        let scheduled = Nanos::from(start.elapsed());
-        let indices = qsl_rng.sample_with_replacement(population, settings.samples_per_query);
-        let query = build_query(issued, &mut next_sample_id, &indices, scheduled);
-        issued += 1;
-        recorder.record_issue(&query, scheduled)?;
-        record_issue_event(sink, &query, scheduled);
-        let outcome = sut.issue_outcome(&query);
-        let finished = Nanos::from(start.elapsed());
-        record_outcome(recorder, &query, outcome, finished, &mut log, sink)?;
-        if issued >= settings.min_query_count && finished >= settings.min_duration {
-            return Ok(());
-        }
-    }
-}
-
-fn run_multi_stream(
-    settings: &TestSettings,
-    population: usize,
-    sut: &dyn RealtimeSut,
-    recorder: &mut Recorder,
-    sink: &dyn TraceSink,
-    start: Instant,
-) -> Result<(), LoadGenError> {
-    let interval = settings.multistream_arrival_interval;
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let mut log = log_sampler(settings, settings.accuracy_log_probability);
-    let mut next_sample_id = 0u64;
-    let mut issued = 0u64;
-    let mut boundary = Nanos::ZERO;
-    loop {
-        // Sleep until the boundary.
-        let now = Nanos::from(start.elapsed());
-        if boundary > now {
-            std::thread::sleep(boundary.saturating_sub(now).to_duration());
-        }
-        let indices = qsl_rng.sample_with_replacement(population, settings.samples_per_query);
-        let query = build_query(issued, &mut next_sample_id, &indices, boundary);
-        issued += 1;
-        recorder.record_issue(&query, boundary)?;
-        record_issue_event(sink, &query, boundary);
-        let outcome = sut.issue_outcome(&query);
-        let finished = Nanos::from(start.elapsed());
-        record_outcome(recorder, &query, outcome, finished, &mut log, sink)?;
-        let elapsed = finished.saturating_sub(boundary).as_nanos();
-        let consumed = elapsed.div_ceil(interval.as_nanos()).max(1);
-        if consumed > 1 {
-            recorder.record_skips(query.id, (consumed - 1) as u32);
-        }
-        boundary += interval.mul(consumed);
-        if issued >= settings.min_query_count && boundary >= settings.min_duration {
-            return Ok(());
-        }
-    }
-}
-
-fn run_server(
-    settings: &TestSettings,
-    population: usize,
-    sut: &Arc<dyn RealtimeSut>,
-    recorder: &mut Recorder,
-    sink: &dyn TraceSink,
-    start: Instant,
-) -> Result<(), LoadGenError> {
-    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
-    let arrivals = PoissonProcess::new(
-        settings.server_target_qps,
-        Rng64::new(settings.seeds.schedule_seed),
-    )
-    .map_err(|e| LoadGenError::BadSettings(e.to_string()))?
-    .map(Nanos::from_secs_f64);
-    let (work_tx, work_rx) = mpsc::channel::<Query>();
-    // Workers report (scheduled_at, completion); `None` completions mark
-    // queries that vanished on a live transport — never recorded, so they
-    // stay outstanding and trip the incomplete-queries check.
-    let (done_tx, done_rx) = mpsc::channel::<(Nanos, Option<QueryCompletion>)>();
-    // std's Receiver is single-consumer; the worker pool shares it behind a
-    // mutex (each worker holds the lock only for the dequeue itself).
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let mut workers = Vec::new();
-    for _ in 0..settings.server_workers {
-        let rx = Arc::clone(&work_rx);
-        let tx = done_tx.clone();
-        let sut = Arc::clone(sut);
-        workers.push(std::thread::spawn(move || loop {
-            let query = match rx.lock().expect("work queue poisoned").recv() {
-                Ok(query) => query,
-                Err(_) => break,
-            };
-            let outcome = sut.issue_outcome(&query);
-            let finished = Nanos::from(start.elapsed());
-            let completion = match outcome {
-                IssueOutcome::Completed(samples) => {
-                    Some(QueryCompletion::ok(query.id, finished, samples))
-                }
-                IssueOutcome::Errored => Some(QueryCompletion::errored(&query, finished)),
-                IssueOutcome::Vanished => None,
-            };
-            if tx.send((query.scheduled_at, completion)).is_err() {
-                break;
-            }
-        }));
-    }
-    drop(work_rx);
-    drop(done_tx);
-    let mut next_sample_id = 0u64;
-    let mut issued = 0u64;
-    for arrival in arrivals {
-        let now = Nanos::from(start.elapsed());
-        if arrival > now {
-            std::thread::sleep(arrival.saturating_sub(now).to_duration());
-        }
-        let indices = qsl_rng.sample_with_replacement(population, settings.samples_per_query);
-        let query = build_query(issued, &mut next_sample_id, &indices, arrival);
-        issued += 1;
-        recorder.record_issue(&query, arrival)?;
-        record_issue_event(sink, &query, arrival);
-        work_tx
-            .send(query)
-            .map_err(|_| LoadGenError::SutProtocol("server worker pool died".into()))?;
-        if issued >= settings.min_query_count && arrival >= settings.min_duration {
-            break;
-        }
-    }
-    drop(work_tx);
-    if sink.enabled() {
-        sink.record(
-            Nanos::from(start.elapsed()).as_nanos(),
-            &TraceEvent::RunPhase {
-                phase: "drain".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut log = log_sampler(settings, settings.accuracy_log_probability);
-    for (scheduled_at, completion) in done_rx.iter() {
-        if let Some(completion) = completion {
-            record_completion(recorder, &completion, scheduled_at, &mut log, sink)?;
-        }
-    }
-    for worker in workers {
-        worker
-            .join()
-            .map_err(|_| LoadGenError::SutProtocol("server worker panicked".into()))?;
-    }
-    Ok(())
+    run_wall(settings, qsl, sut, sink, Some(origin), None, None).map(unhalted)
 }
 
 /// Runs a wall-clock server benchmark under a crash-safe run journal.
@@ -474,80 +150,428 @@ pub fn run_realtime_journaled<Q>(
 where
     Q: QuerySampleLibrary + ?Sized,
 {
+    run_wall(settings, qsl, sut, sink, None, None, Some((cfg, resume)))
+}
+
+/// The one wall-clock run body. `origin` is the clock origin (`None`
+/// starts the clock once the samples are loaded and the journal is
+/// attached); `replay` swaps the performance-mode arrival process for a
+/// recorded schedule (`crate::replay`); `journal` attaches a run journal
+/// as `(config, resume)`. Only a journaled run can come back
+/// [`JournaledRun::Halted`].
+pub(crate) fn run_wall<Q>(
+    settings: &TestSettings,
+    qsl: &mut Q,
+    sut: Arc<dyn RealtimeSut>,
+    sink: &dyn TraceSink,
+    origin: Option<Instant>,
+    replay: Option<&ReplaySchedule>,
+    journal: Option<(&JournalConfig, bool)>,
+) -> Result<JournaledRun, LoadGenError>
+where
+    Q: QuerySampleLibrary + ?Sized,
+{
     settings.validate()?;
-    if settings.mode != TestMode::PerformanceOnly || settings.scenario != Scenario::Server {
+    if journal.is_some()
+        && (settings.mode != TestMode::PerformanceOnly || settings.scenario != Scenario::Server)
+    {
         return Err(LoadGenError::BadSettings(
             "journaled realtime runs support the server scenario in performance mode".into(),
         ));
     }
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
-        )));
-    }
-    let loaded: Vec<usize> = (0..qsl.performance_sample_count()).collect();
-    qsl.load_samples(&loaded);
+    let loaded = load_samples(settings, qsl)?;
     let population = loaded.len();
-    let meta = RunMeta {
-        scenario: settings.scenario.to_string(),
-        digest: settings_digest(settings, population as u64),
-        qsl_size: population as u64,
+    let (mut journal, restored) = match journal {
+        Some((cfg, resume)) => {
+            let (journal, restored) = attach_journal(settings, population, cfg, resume)?;
+            (Some((journal, cfg)), restored)
+        }
+        None => (None, None),
     };
-    let (mut journal, restored) = RunJournal::attach(cfg, &meta, resume)?;
+    record_start(sink, settings, restored.is_some());
+    let mut wall = Wall {
+        settings,
+        sut: &sut,
+        recorder: Recorder::new(),
+        sink,
+        start: origin.unwrap_or_else(Instant::now),
+    };
+    let halted = match (settings.mode, replay) {
+        (TestMode::AccuracyOnly, _) => {
+            run_batch(&mut wall, &loaded, 1.0)?;
+            false
+        }
+        (TestMode::PerformanceOnly, Some(schedule)) => {
+            let arrivals = Arrivals::Replay {
+                schedule,
+                next: 0,
+                next_sample_id: 0,
+            };
+            drive_open_loop(&mut wall, population, arrivals, Vec::new(), None)?
+        }
+        (TestMode::PerformanceOnly, None) => match settings.scenario {
+            Scenario::SingleStream => {
+                run_single_stream(&mut wall, population)?;
+                false
+            }
+            Scenario::MultiStream => {
+                run_multi_stream(&mut wall, population)?;
+                false
+            }
+            Scenario::Offline => {
+                let mut rng = Rng64::new(settings.seeds.qsl_seed);
+                let count = settings.offline_min_sample_count as usize;
+                let indices = rng.sample_with_replacement(population, count);
+                run_batch(&mut wall, &indices, settings.accuracy_log_probability)?;
+                false
+            }
+            Scenario::Server => {
+                let (cursor, reissue) = match &restored {
+                    Some(cp) => {
+                        wall.recorder = Recorder::restore(cp.recorder.clone());
+                        // Shift the clock origin into the past so `elapsed()`
+                        // resumes the interrupted run's time axis instead of
+                        // restarting at 0.
+                        wall.start = Instant::now()
+                            .checked_sub(cp.wall.to_duration())
+                            .unwrap_or_else(Instant::now);
+                        let cursor = ServerCursor::restore(settings, cp)?;
+                        (cursor, cp.recorder.outstanding_queries())
+                    }
+                    None => (ServerCursor::fresh(settings)?, Vec::new()),
+                };
+                let arrivals = Arrivals::Server(cursor);
+                drive_open_loop(&mut wall, population, arrivals, reissue, journal.as_mut())?
+            }
+        },
+    };
+    qsl.unload_samples(&loaded);
+    if let Some((journal, cfg)) = &mut journal {
+        if halted {
+            sink.flush();
+            return Ok(journal.halted(cfg));
+        }
+        journal.sync()?;
+    }
+    Ok(JournaledRun::Finished(Box::new(finish_run(
+        settings,
+        sut.name(),
+        qsl.name(),
+        wall.recorder,
+        sink,
+        None,
+    ))))
+}
+
+/// What every wall-clock loop shares: the rules, the SUT, the recorder,
+/// the detail log, and the clock origin.
+struct Wall<'a> {
+    settings: &'a TestSettings,
+    sut: &'a Arc<dyn RealtimeSut>,
+    recorder: Recorder,
+    sink: &'a dyn TraceSink,
+    start: Instant,
+}
+
+impl Wall<'_> {
+    /// Time since the clock origin.
+    fn now(&self) -> Nanos {
+        Nanos::from(self.start.elapsed())
+    }
+
+    /// Sleeps until `at` on this run's clock (returns at once if it has
+    /// passed).
+    fn sleep_until(&self, at: Nanos) {
+        let now = self.now();
+        if at > now {
+            std::thread::sleep(at.saturating_sub(now).to_duration());
+        }
+    }
+
+    /// Records an issue and its `QueryIssued` event; `delay_ns` is how
+    /// far `issued_at` trails the query's scheduled time.
+    fn issue(&mut self, query: &Query, issued_at: Nanos) -> Result<(), LoadGenError> {
+        self.recorder.record_issue(query, issued_at)?;
+        record_issue_event(self.sink, query, issued_at);
+        Ok(())
+    }
+
+    /// Resolves one [`IssueOutcome`] into the recorder and the detail log.
+    ///
+    /// `Completed` and `Errored` outcomes produce a completion record (and
+    /// a `QueryCompleted` / `QueryErrored` event); `Vanished` leaves the
+    /// query outstanding so the incomplete-queries validity rule catches
+    /// it.
+    fn resolve<F: FnMut(u64) -> bool>(
+        &mut self,
+        query: &Query,
+        outcome: IssueOutcome,
+        finished: Nanos,
+        log: F,
+    ) -> Result<(), LoadGenError> {
+        match completion_of(query, outcome, finished) {
+            Some(completion) => self.complete(&completion, query.scheduled_at, log),
+            None => Ok(()),
+        }
+    }
+
+    /// Records a ready-made completion (the open-loop driver builds them
+    /// on worker threads) plus its trace event.
+    fn complete<F: FnMut(u64) -> bool>(
+        &mut self,
+        completion: &QueryCompletion,
+        scheduled_at: Nanos,
+        log: F,
+    ) -> Result<(), LoadGenError> {
+        self.recorder.record_completion(completion, log)?;
+        if self.sink.enabled() {
+            let latency_ns = completion
+                .finished_at
+                .saturating_sub(scheduled_at)
+                .as_nanos();
+            let event = if completion.error {
+                TraceEvent::QueryErrored {
+                    query_id: completion.query_id,
+                    latency_ns,
+                }
+            } else {
+                TraceEvent::QueryCompleted {
+                    query_id: completion.query_id,
+                    latency_ns,
+                }
+            };
+            self.sink.record(completion.finished_at.as_nanos(), &event);
+        }
+        Ok(())
+    }
+
+    /// Marks the end of issuing in the detail log.
+    fn record_drain(&self) {
+        if self.sink.enabled() {
+            self.sink.record(
+                self.now().as_nanos(),
+                &TraceEvent::RunPhase {
+                    phase: "drain".into(),
+                    scenario: self.settings.scenario.to_string(),
+                },
+            );
+        }
+    }
+}
+
+fn log_sampler(settings: &TestSettings, probability: f64) -> impl FnMut(u64) -> bool {
+    let mut rng = Rng64::new(settings.seeds.accuracy_seed);
+    move |_| probability > 0.0 && rng.next_bool(probability)
+}
+
+fn record_issue_event(sink: &dyn TraceSink, query: &Query, issued_at: Nanos) {
     if sink.enabled() {
         sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: if restored.is_some() {
-                    "resume"
-                } else {
-                    "issue"
-                }
-                .into(),
-                scenario: settings.scenario.to_string(),
+            issued_at.as_nanos(),
+            &TraceEvent::QueryIssued {
+                query_id: query.id,
+                sample_count: query.sample_count(),
+                delay_ns: issued_at.saturating_sub(query.scheduled_at).as_nanos(),
             },
         );
     }
-    let (mut recorder, mut cursor, origin) = match &restored {
-        Some(cp) => (
-            Recorder::restore(cp.recorder.clone()),
-            ServerCursor::restore(settings, cp)?,
-            // Shift the clock origin into the past so `elapsed()` resumes
-            // the interrupted run's time axis instead of restarting at 0.
-            Instant::now()
-                .checked_sub(cp.wall.to_duration())
-                .unwrap_or_else(Instant::now),
-        ),
-        None => (
-            Recorder::new(),
-            ServerCursor::fresh(settings)?,
-            Instant::now(),
-        ),
-    };
-    let start = origin;
+}
+
+/// The completion an [`IssueOutcome`] amounts to; `None` for a query that
+/// vanished (never recorded, so it stays outstanding).
+fn completion_of(query: &Query, outcome: IssueOutcome, finished: Nanos) -> Option<QueryCompletion> {
+    match outcome {
+        IssueOutcome::Completed(samples) => Some(QueryCompletion::ok(query.id, finished, samples)),
+        IssueOutcome::Errored => Some(QueryCompletion::errored(query, finished)),
+        IssueOutcome::Vanished => None,
+    }
+}
+
+/// One query over `indices`, issued synchronously (offline + accuracy mode).
+fn run_batch(
+    wall: &mut Wall<'_>,
+    indices: &[usize],
+    log_probability: f64,
+) -> Result<(), LoadGenError> {
+    let mut next_sample_id = 0u64;
+    let query = build_query(0, &mut next_sample_id, indices, Nanos::ZERO);
+    wall.issue(&query, Nanos::ZERO)?;
+    let outcome = wall.sut.issue_outcome(&query);
+    let finished = wall.now();
+    let log = log_sampler(wall.settings, log_probability);
+    wall.resolve(&query, outcome, finished, log)
+}
+
+fn run_single_stream(wall: &mut Wall<'_>, population: usize) -> Result<(), LoadGenError> {
+    let settings = wall.settings;
+    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
+    let mut log = log_sampler(settings, settings.accuracy_log_probability);
+    let mut next_sample_id = 0u64;
+    let mut issued = 0u64;
+    loop {
+        let scheduled = wall.now();
+        let indices = qsl_rng.sample_with_replacement(population, settings.samples_per_query);
+        let query = build_query(issued, &mut next_sample_id, &indices, scheduled);
+        issued += 1;
+        wall.issue(&query, scheduled)?;
+        let outcome = wall.sut.issue_outcome(&query);
+        let finished = wall.now();
+        wall.resolve(&query, outcome, finished, &mut log)?;
+        if issued >= settings.min_query_count && finished >= settings.min_duration {
+            return Ok(());
+        }
+    }
+}
+
+fn run_multi_stream(wall: &mut Wall<'_>, population: usize) -> Result<(), LoadGenError> {
+    let settings = wall.settings;
+    let interval = settings.multistream_arrival_interval;
+    let mut qsl_rng = Rng64::new(settings.seeds.qsl_seed);
+    let mut log = log_sampler(settings, settings.accuracy_log_probability);
+    let mut next_sample_id = 0u64;
+    let mut issued = 0u64;
+    let mut boundary = Nanos::ZERO;
+    loop {
+        wall.sleep_until(boundary);
+        let indices = qsl_rng.sample_with_replacement(population, settings.samples_per_query);
+        let query = build_query(issued, &mut next_sample_id, &indices, boundary);
+        issued += 1;
+        wall.issue(&query, boundary)?;
+        let outcome = wall.sut.issue_outcome(&query);
+        let finished = wall.now();
+        wall.resolve(&query, outcome, finished, &mut log)?;
+        // Intervals consumed by this query; every one beyond the first was
+        // skipped and delays the remaining queries.
+        let elapsed = finished.saturating_sub(boundary).as_nanos();
+        let consumed = elapsed.div_ceil(interval.as_nanos()).max(1);
+        let skips = consumed - 1;
+        if skips > 0 {
+            wall.recorder.record_skips(query.id, skips as u32);
+            if wall.sink.enabled() {
+                wall.sink.record(
+                    finished.as_nanos(),
+                    &TraceEvent::OverloadDropped {
+                        query_id: query.id,
+                        intervals: skips,
+                    },
+                );
+            }
+        }
+        boundary += interval.mul(consumed);
+        if issued >= settings.min_query_count && boundary >= settings.min_duration {
+            return Ok(());
+        }
+    }
+}
+
+/// Where the open-loop driver's arrivals come from.
+enum Arrivals<'a> {
+    /// The server scenario's Poisson schedule, fresh or restored from a
+    /// checkpoint.
+    Server(ServerCursor),
+    /// A recorded schedule, open loop for every scenario: it *is* the run,
+    /// so `min_query_count` / `min_duration` never extend it.
+    Replay {
+        schedule: &'a ReplaySchedule,
+        next: usize,
+        next_sample_id: u64,
+    },
+}
+
+impl Arrivals<'_> {
+    /// When the next query is due; `None` once the run stops issuing.
+    fn due(&self) -> Option<Nanos> {
+        match self {
+            Arrivals::Server(cursor) => cursor.pending_arrival,
+            Arrivals::Replay { schedule, next, .. } => schedule.arrivals.get(*next).copied(),
+        }
+    }
+
+    /// Builds the query that is due and moves past it.
+    fn take(&mut self, settings: &TestSettings, population: usize) -> Query {
+        match self {
+            Arrivals::Server(cursor) => {
+                let at = cursor.pending_arrival.take().expect("a query is due");
+                let indices = cursor
+                    .qsl_rng
+                    .sample_with_replacement(population, settings.samples_per_query);
+                let query = build_query(cursor.issued, &mut cursor.next_sample_id, &indices, at);
+                cursor.issued += 1;
+                // Stop once both the Table V count and the minimum duration
+                // are met — after issuing the arrival that meets them, as
+                // the C++ LoadGen does. The next arrival is drawn only when
+                // the run continues, so every run consumes the schedule RNG
+                // identically: the settings digest pins the seeds, this
+                // pins the draw count.
+                if !(cursor.issued >= settings.min_query_count && at >= settings.min_duration) {
+                    cursor.pending_arrival = Some(cursor.next_arrival());
+                }
+                query
+            }
+            Arrivals::Replay {
+                schedule,
+                next,
+                next_sample_id,
+            } => {
+                let at = schedule.arrivals[*next];
+                // A recorded trace may index a larger QSL than the one it
+                // replays against; fold indices into the population rather
+                // than rejecting the run.
+                let indices: Vec<usize> = schedule.indices[*next]
+                    .iter()
+                    .map(|&i| i % population)
+                    .collect();
+                let query = build_query(*next as u64, next_sample_id, &indices, at);
+                *next += 1;
+                query
+            }
+        }
+    }
+}
+
+/// The one open-loop wall-clock driver: the server scenario (plain,
+/// traced, journaled, resumed) and wall-clock replay.
+///
+/// Spawns the worker pool once and re-sends `reissue` — a resumed
+/// checkpoint's outstanding queries, whose issue records the restored
+/// recorder already holds, so only the `QueryIssued` event is re-stamped
+/// (TEST06 needs an issue event ahead of each completion in the resumed
+/// log; a remote end dedups the re-execution via its completion journal).
+/// Then it sleeps to each arrival and hands the query to the pool, stamped
+/// issued at `max(now, arrival)`. With a journal attached, a checkpoint is
+/// captured every `checkpoint_every` issued queries; when the armed halt
+/// fires the in-flight completions are discarded, as a killed process
+/// would lose them, and the driver returns `true`. Otherwise every
+/// completion is drained into the recorder.
+fn drive_open_loop(
+    wall: &mut Wall<'_>,
+    population: usize,
+    mut arrivals: Arrivals<'_>,
+    reissue: Vec<Query>,
+    mut journal: Option<&mut (RunJournal, &JournalConfig)>,
+) -> Result<bool, LoadGenError> {
+    let settings = wall.settings;
+    let start = wall.start;
     let (work_tx, work_rx) = mpsc::channel::<Query>();
+    // Workers report (scheduled_at, completion); `None` completions mark
+    // queries that vanished on a live transport — never recorded, so they
+    // stay outstanding and trip the incomplete-queries check.
     let (done_tx, done_rx) = mpsc::channel::<(Nanos, Option<QueryCompletion>)>();
+    // std's Receiver is single-consumer; the worker pool shares it behind a
+    // mutex (each worker holds the lock only for the dequeue itself).
     let work_rx = Arc::new(Mutex::new(work_rx));
     let mut workers = Vec::new();
     for _ in 0..settings.server_workers {
         let rx = Arc::clone(&work_rx);
         let tx = done_tx.clone();
-        let sut = Arc::clone(&sut);
+        let sut = Arc::clone(wall.sut);
         workers.push(std::thread::spawn(move || loop {
             let query = match rx.lock().expect("work queue poisoned").recv() {
                 Ok(query) => query,
                 Err(_) => break,
             };
             let outcome = sut.issue_outcome(&query);
-            let finished = Nanos::from(start.elapsed());
-            let completion = match outcome {
-                IssueOutcome::Completed(samples) => {
-                    Some(QueryCompletion::ok(query.id, finished, samples))
-                }
-                IssueOutcome::Errored => Some(QueryCompletion::errored(&query, finished)),
-                IssueOutcome::Vanished => None,
-            };
+            let completion = completion_of(&query, outcome, Nanos::from(start.elapsed()));
             if tx.send((query.scheduled_at, completion)).is_err() {
                 break;
             }
@@ -555,115 +579,82 @@ where
     }
     drop(work_rx);
     drop(done_tx);
-    // Re-issue the checkpoint's outstanding queries: the recorder already
-    // carries their issue records, so only the trace event is re-stamped
-    // (TEST06 needs an issue event ahead of each completion in the resumed
-    // log). The remote end dedups re-executions via its completion journal.
-    if let Some(cp) = &restored {
-        for query in cp.recorder.outstanding_queries() {
-            record_issue_event(sink, &query, query.scheduled_at);
-            work_tx
-                .send(query)
-                .map_err(|_| LoadGenError::SutProtocol("server worker pool died".into()))?;
-        }
-    }
-    let mut halted = false;
-    while let Some(arrival) = cursor.pending_arrival.take() {
-        let now = Nanos::from(start.elapsed());
-        if arrival > now {
-            std::thread::sleep(arrival.saturating_sub(now).to_duration());
-        }
-        let indices = cursor
-            .qsl_rng
-            .sample_with_replacement(population, settings.samples_per_query);
-        let query = build_query(cursor.issued, &mut cursor.next_sample_id, &indices, arrival);
-        cursor.issued += 1;
-        recorder.record_issue(&query, arrival)?;
-        record_issue_event(sink, &query, arrival);
+    let send = |query: Query| {
         work_tx
             .send(query)
-            .map_err(|_| LoadGenError::SutProtocol("server worker pool died".into()))?;
-        // Draw the next arrival only when the run continues, mirroring the
-        // plain loop's lazy iterator so both consume the schedule RNG
-        // identically — the settings digest pins the seeds, this pins the
-        // draw count.
-        if !(cursor.issued >= settings.min_query_count && arrival >= settings.min_duration) {
-            cursor.pending_arrival = Some(cursor.next_arrival());
-        }
-        if cursor.issued.is_multiple_of(cfg.checkpoint_every) {
-            let (sched_rng, sched_now) = cursor.arrivals.state();
-            let (records_from, accuracy_from) = journal.flushed_marks();
-            let cp = Checkpoint {
-                seq: journal.checkpoints,
-                issued: cursor.issued,
-                next_sample_id: cursor.next_sample_id,
-                wall: Nanos::from(start.elapsed()),
-                pending_arrival: cursor.pending_arrival,
-                qsl_rng: cursor.qsl_rng.state(),
-                sched_rng,
-                sched_now_bits: sched_now.to_bits(),
-                // The realtime drain rebuilds its accuracy-log sampler from
-                // the seed, so the checkpoint pins the seed-fresh state.
-                acc_rng: Rng64::new(settings.seeds.accuracy_seed).state(),
-                epoch: cfg
-                    .epoch_source
-                    .as_ref()
-                    .map_or(0, |e| e.load(std::sync::atomic::Ordering::SeqCst)),
-                recorder: recorder.snapshot_suffix(records_from, accuracy_from),
-            };
-            if journal.append_checkpoint(cfg, &cp)? {
-                halted = true;
-                break;
+            .map_err(|_| LoadGenError::SutProtocol("issue worker pool died".into()))
+    };
+    for query in reissue {
+        record_issue_event(wall.sink, &query, query.scheduled_at);
+        send(query)?;
+    }
+    let mut halted = false;
+    while let Some(arrival) = arrivals.due() {
+        wall.sleep_until(arrival);
+        let query = arrivals.take(settings, population);
+        let issued_at = wall.now().max(arrival);
+        wall.issue(&query, issued_at)?;
+        send(query)?;
+        if let (Some((journal, cfg)), Arrivals::Server(cursor)) = (&mut journal, &arrivals) {
+            if cursor.issued.is_multiple_of(cfg.checkpoint_every) {
+                let cp = checkpoint(journal, cfg, cursor, wall);
+                if journal.append_checkpoint(cfg, &cp)? {
+                    halted = true;
+                    break;
+                }
             }
         }
     }
     drop(work_tx);
     if halted {
-        // Simulated process death: drain and discard in-flight completions
-        // (they were never recorded, so the checkpoint still lists their
-        // queries as outstanding), then tear the pool down.
         for _ in done_rx.iter() {}
         for worker in workers {
             let _ = worker.join();
         }
-        qsl.unload_samples(&loaded);
-        sink.flush();
-        return Ok(JournaledRun::Halted {
-            checkpoint: journal
-                .checkpoints
-                .saturating_sub(if cfg.torn_halt { 0 } else { 1 }),
-        });
+        return Ok(true);
     }
-    if sink.enabled() {
-        sink.record(
-            Nanos::from(start.elapsed()).as_nanos(),
-            &TraceEvent::RunPhase {
-                phase: "drain".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
+    wall.record_drain();
     let mut log = log_sampler(settings, settings.accuracy_log_probability);
     for (scheduled_at, completion) in done_rx.iter() {
         if let Some(completion) = completion {
-            record_completion(&mut recorder, &completion, scheduled_at, &mut log, sink)?;
+            wall.complete(&completion, scheduled_at, &mut log)?;
         }
     }
     for worker in workers {
         worker
             .join()
-            .map_err(|_| LoadGenError::SutProtocol("server worker panicked".into()))?;
+            .map_err(|_| LoadGenError::SutProtocol("issue worker panicked".into()))?;
     }
-    journal.sync()?;
-    qsl.unload_samples(&loaded);
-    Ok(JournaledRun::Finished(Box::new(finish_run(
-        settings,
-        sut.name(),
-        qsl.name(),
-        recorder,
-        sink,
-        None,
-    ))))
+    Ok(false)
+}
+
+/// The checkpoint of a wall-clock server run at its current boundary.
+fn checkpoint(
+    journal: &RunJournal,
+    cfg: &JournalConfig,
+    cursor: &ServerCursor,
+    wall: &Wall<'_>,
+) -> Checkpoint {
+    let (sched_rng, sched_now) = cursor.arrivals.state();
+    let (records_from, accuracy_from) = journal.flushed_marks();
+    Checkpoint {
+        seq: journal.checkpoints,
+        issued: cursor.issued,
+        next_sample_id: cursor.next_sample_id,
+        wall: wall.now(),
+        pending_arrival: cursor.pending_arrival,
+        qsl_rng: cursor.qsl_rng.state(),
+        sched_rng,
+        sched_now_bits: sched_now.to_bits(),
+        // The wall-clock drain rebuilds its accuracy-log sampler from the
+        // seed, so the checkpoint pins the seed-fresh state.
+        acc_rng: Rng64::new(wall.settings.seeds.accuracy_seed).state(),
+        epoch: cfg
+            .epoch_source
+            .as_ref()
+            .map_or(0, |e| e.load(std::sync::atomic::Ordering::SeqCst)),
+        recorder: wall.recorder.snapshot_suffix(records_from, accuracy_from),
+    }
 }
 
 #[cfg(test)]
@@ -984,5 +975,121 @@ mod tests {
         let err = run_realtime_journaled(&settings, &mut qsl, sleepy(10), &NoopSink, &cfg, false)
             .unwrap_err();
         assert!(matches!(err, LoadGenError::BadSettings(_)));
+    }
+
+    #[test]
+    fn multistream_skips_reach_the_detail_log() {
+        // 2 samples * 1.5 ms = 3 ms per query against a 2 ms interval:
+        // every query overruns at least one interval.
+        let settings = TestSettings::multi_stream(2, Nanos::from_millis(2))
+            .with_min_query_count(6)
+            .with_min_duration(Nanos::from_millis(1));
+        let mut qsl = MemoryQsl::new("q", 16, 16);
+        let sink = RingBufferSink::unbounded();
+        let out = run_realtime_traced(&settings, &mut qsl, sleepy(1_500), &sink).unwrap();
+        let skipped: u64 = out
+            .records
+            .iter()
+            .map(|r| u64::from(r.skipped_intervals))
+            .sum();
+        let dropped: u64 = sink
+            .snapshot()
+            .iter()
+            .map(|r| match r.event {
+                TraceEvent::OverloadDropped { intervals, .. } => intervals,
+                _ => 0,
+            })
+            .sum();
+        assert!(skipped >= out.records.len() as u64, "{skipped} skips");
+        assert_eq!(dropped, skipped);
+    }
+
+    /// Checks every `QueryIssued` event against the run's records: the
+    /// schedule is recoverable as `ts - delay`, and a fresh issue is
+    /// stamped at its record's `issued_at`, the moment it was handed to
+    /// the worker pool. Re-issues of a checkpoint's outstanding queries
+    /// (`reissued`) keep `delay_ns = 0`.
+    fn assert_issue_stamps(
+        sink: &RingBufferSink,
+        records: &[crate::record::QueryRecord],
+        reissued: &std::collections::HashSet<u64>,
+    ) {
+        let by_id: std::collections::HashMap<u64, _> = records.iter().map(|r| (r.id, r)).collect();
+        let (mut fresh, mut late) = (0, 0);
+        for r in sink.snapshot() {
+            if let TraceEvent::QueryIssued {
+                query_id, delay_ns, ..
+            } = r.event
+            {
+                let record = by_id[&query_id];
+                assert_eq!(
+                    r.ts_ns - delay_ns,
+                    record.scheduled_at.as_nanos(),
+                    "query {query_id}"
+                );
+                if reissued.contains(&query_id) {
+                    assert_eq!(delay_ns, 0, "re-issued query {query_id}");
+                } else {
+                    assert_eq!(r.ts_ns, record.issued_at.as_nanos(), "query {query_id}");
+                    fresh += 1;
+                    late += u32::from(delay_ns > 0);
+                }
+            }
+        }
+        // Sleeps overshoot, so a real dispatch stamp trails its arrival.
+        assert!(late > 0, "none of {fresh} fresh issues trails its schedule");
+    }
+
+    #[test]
+    fn open_loop_issue_stamps_trail_the_schedule() {
+        let none = std::collections::HashSet::new();
+        let settings = TestSettings::server(2_000.0, Nanos::from_millis(50))
+            .with_min_query_count(50)
+            .with_min_duration(Nanos::from_millis(1));
+        let mut qsl = MemoryQsl::new("q", 16, 16);
+
+        let sink = RingBufferSink::unbounded();
+        let out = run_realtime_traced(&settings, &mut qsl, sleepy(10), &sink).unwrap();
+        assert_issue_stamps(&sink, &out.records, &none);
+
+        let schedule = crate::replay::ReplaySchedule {
+            scenario: Scenario::Server,
+            arrivals: out.records.iter().map(|r| r.scheduled_at).collect(),
+            indices: (0..out.records.len()).map(|i| vec![i % 16]).collect(),
+        };
+        let sink = RingBufferSink::unbounded();
+        let out = crate::replay::run_realtime_replay_traced_at(
+            &settings,
+            &schedule,
+            &mut qsl,
+            sleepy(10),
+            &sink,
+            Instant::now(),
+        )
+        .unwrap();
+        assert_issue_stamps(&sink, &out.records, &none);
+
+        let dir = std::env::temp_dir().join(format!("mlpj-rt-stamp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.mlpj");
+        let _ = std::fs::remove_file(&path);
+        let cfg = crate::journal::JournalConfig::new(&path).with_checkpoint_every(8);
+        let halt = cfg.clone().with_halt_after(1);
+        let halted =
+            run_realtime_journaled(&settings, &mut qsl, sleepy(200), &NoopSink, &halt, false)
+                .unwrap();
+        assert!(matches!(halted, JournaledRun::Halted { checkpoint: 1 }));
+        let cp = crate::journal::load_run_journal(&path)
+            .unwrap()
+            .last
+            .expect("checkpoint 1 is on disk");
+        let reissued = cp.recorder.outstanding.iter().map(|e| e.id).collect();
+        let sink = RingBufferSink::unbounded();
+        let out = run_realtime_journaled(&settings, &mut qsl, sleepy(200), &sink, &cfg, true)
+            .unwrap()
+            .finished()
+            .expect("resume runs to completion");
+        assert_issue_stamps(&sink, &out.records, &reissued);
+        std::fs::remove_file(&path).unwrap();
     }
 }

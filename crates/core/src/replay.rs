@@ -9,12 +9,12 @@
 //! scenario, the same scoring. That is what makes a replayed run a real
 //! benchmark rather than a traffic-shaped smoke test.
 //!
-//! Two runners mirror the native pair:
+//! A schedule is one more arrival source for each clock's run body:
 //!
-//! * [`run_simulated_replay`] — the discrete-event loop, for deterministic
-//!   audits and simulated SUTs.
-//! * [`run_realtime_replay`] — the wall-clock loop with the server
-//!   scenario's worker pool, for any [`RealtimeSut`]: a local stack, a
+//! * [`run_simulated_replay_traced`] — the discrete-event run body, for
+//!   deterministic audits and simulated SUTs.
+//! * [`run_realtime_replay_traced_at`] — the wall-clock open-loop driver
+//!   the server scenario uses, for any [`RealtimeSut`]: a local stack, a
 //!   `RemoteSut` on the wire, or a sharded fleet router.
 //!
 //! Replay is open loop by construction — the schedule *is* the run, so
@@ -23,19 +23,16 @@
 //! timeline instead of re-deriving one from completions.
 
 use crate::config::{TestMode, TestSettings};
-use crate::des::{self, finish_run, RunOutcome};
+use crate::des::{self, unhalted, RunOutcome};
 use crate::instrument::Instruments;
 use crate::qsl::QuerySampleLibrary;
-use crate::query::{Query, QueryCompletion};
-use crate::realtime::{log_sampler, record_completion, record_issue_event};
-use crate::record::Recorder;
+use crate::realtime;
 use crate::scenario::Scenario;
-use crate::schedule::build_query;
-use crate::sut::{IssueOutcome, RealtimeSut, SimSut};
+use crate::sut::{RealtimeSut, SimSut};
 use crate::time::Nanos;
 use crate::LoadGenError;
-use mlperf_trace::{NoopSink, TraceEvent, TraceSink};
-use std::sync::{mpsc, Arc, Mutex};
+use mlperf_trace::TraceSink;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A recorded query schedule, ready to re-issue.
@@ -119,31 +116,13 @@ fn check(settings: &TestSettings, schedule: &ReplaySchedule) -> Result<(), LoadG
     Ok(())
 }
 
-/// Replays a recorded schedule under simulated time.
+/// Replays a recorded schedule under simulated time, with a detail-log
+/// sink attached ([`mlperf_trace::NoopSink`] for none).
 ///
 /// # Errors
 ///
 /// Returns [`LoadGenError`] for a malformed schedule, inconsistent
 /// settings, an unusable QSL, or an SUT protocol violation.
-pub fn run_simulated_replay<Q, S>(
-    settings: &TestSettings,
-    schedule: &ReplaySchedule,
-    qsl: &mut Q,
-    sut: &mut S,
-) -> Result<RunOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-    S: SimSut + ?Sized,
-{
-    check(settings, schedule)?;
-    des::run_sim(settings, qsl, sut, &Instruments::none(), Some(schedule))
-}
-
-/// [`run_simulated_replay`] with a detail-log sink attached.
-///
-/// # Errors
-///
-/// Same contract as [`run_simulated_replay`].
 pub fn run_simulated_replay_traced<Q, S>(
     settings: &TestSettings,
     schedule: &ReplaySchedule,
@@ -156,56 +135,17 @@ where
     S: SimSut + ?Sized,
 {
     check(settings, schedule)?;
-    des::run_sim(
-        settings,
-        qsl,
-        sut,
-        &Instruments::traced(sink),
-        Some(schedule),
-    )
+    let instruments = Instruments::traced(sink);
+    des::run_sim(settings, qsl, sut, &instruments, Some(schedule), None).map(unhalted)
 }
 
-/// Replays a recorded schedule against a wall clock.
+/// Replays a recorded schedule against a wall clock, with a detail-log
+/// sink and an explicit clock origin, for sharing one time axis with
+/// instrumented wire clients.
 ///
 /// # Errors
 ///
-/// Same contract as [`run_simulated_replay`].
-pub fn run_realtime_replay<Q>(
-    settings: &TestSettings,
-    schedule: &ReplaySchedule,
-    qsl: &mut Q,
-    sut: Arc<dyn RealtimeSut>,
-) -> Result<RunOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-{
-    run_realtime_replay_traced(settings, schedule, qsl, sut, &NoopSink)
-}
-
-/// [`run_realtime_replay`] with a detail-log sink attached.
-///
-/// # Errors
-///
-/// Same contract as [`run_simulated_replay`].
-pub fn run_realtime_replay_traced<Q>(
-    settings: &TestSettings,
-    schedule: &ReplaySchedule,
-    qsl: &mut Q,
-    sut: Arc<dyn RealtimeSut>,
-    sink: &dyn TraceSink,
-) -> Result<RunOutcome, LoadGenError>
-where
-    Q: QuerySampleLibrary + ?Sized,
-{
-    run_realtime_replay_traced_at(settings, schedule, qsl, sut, sink, Instant::now())
-}
-
-/// [`run_realtime_replay_traced`] with an explicit clock origin, for
-/// sharing one time axis with instrumented wire clients.
-///
-/// # Errors
-///
-/// Same contract as [`run_simulated_replay`].
+/// Same contract as [`run_simulated_replay_traced`].
 pub fn run_realtime_replay_traced_at<Q>(
     settings: &TestSettings,
     schedule: &ReplaySchedule,
@@ -218,127 +158,7 @@ where
     Q: QuerySampleLibrary + ?Sized,
 {
     check(settings, schedule)?;
-    settings.validate()?;
-    if qsl.total_sample_count() == 0 || qsl.performance_sample_count() == 0 {
-        return Err(LoadGenError::BadQsl(format!(
-            "QSL {} has no samples",
-            qsl.name()
-        )));
-    }
-    let loaded: Vec<usize> = (0..qsl.performance_sample_count()).collect();
-    qsl.load_samples(&loaded);
-    if sink.enabled() {
-        sink.record(
-            0,
-            &TraceEvent::RunPhase {
-                phase: "issue".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut recorder = Recorder::new();
-    run_pool(
-        settings,
-        schedule,
-        loaded.len(),
-        &sut,
-        &mut recorder,
-        sink,
-        origin,
-    )?;
-    qsl.unload_samples(&loaded);
-    Ok(finish_run(
-        settings,
-        sut.name(),
-        qsl.name(),
-        recorder,
-        sink,
-        None,
-    ))
-}
-
-/// The wall-clock replay issue loop: sleep to each recorded arrival, hand
-/// the query to the worker pool, drain completions at the end. Identical
-/// in structure to the realtime server loop — replay is open loop for
-/// every scenario.
-fn run_pool(
-    settings: &TestSettings,
-    schedule: &ReplaySchedule,
-    population: usize,
-    sut: &Arc<dyn RealtimeSut>,
-    recorder: &mut Recorder,
-    sink: &dyn TraceSink,
-    start: Instant,
-) -> Result<(), LoadGenError> {
-    let (work_tx, work_rx) = mpsc::channel::<Query>();
-    // Workers report (scheduled_at, completion); `None` marks queries that
-    // vanished on a live transport — never recorded, so they stay
-    // outstanding and trip the incomplete-queries check.
-    let (done_tx, done_rx) = mpsc::channel::<(Nanos, Option<QueryCompletion>)>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let mut workers = Vec::new();
-    for _ in 0..settings.server_workers.max(1) {
-        let rx = Arc::clone(&work_rx);
-        let tx = done_tx.clone();
-        let sut = Arc::clone(sut);
-        workers.push(std::thread::spawn(move || loop {
-            let query = match rx.lock().expect("work queue poisoned").recv() {
-                Ok(query) => query,
-                Err(_) => break,
-            };
-            let outcome = sut.issue_outcome(&query);
-            let finished = Nanos::from(start.elapsed());
-            let completion = match outcome {
-                IssueOutcome::Completed(samples) => {
-                    Some(QueryCompletion::ok(query.id, finished, samples))
-                }
-                IssueOutcome::Errored => Some(QueryCompletion::errored(&query, finished)),
-                IssueOutcome::Vanished => None,
-            };
-            if tx.send((query.scheduled_at, completion)).is_err() {
-                break;
-            }
-        }));
-    }
-    drop(work_rx);
-    drop(done_tx);
-    let mut next_sample_id = 0u64;
-    for (id, (arrival, indices)) in schedule.arrivals.iter().zip(&schedule.indices).enumerate() {
-        let now = Nanos::from(start.elapsed());
-        if *arrival > now {
-            std::thread::sleep(arrival.saturating_sub(now).to_duration());
-        }
-        let indices: Vec<usize> = indices.iter().map(|&i| i % population).collect();
-        let query = build_query(id as u64, &mut next_sample_id, &indices, *arrival);
-        let issued_at = Nanos::from(start.elapsed()).max(*arrival);
-        recorder.record_issue(&query, issued_at)?;
-        record_issue_event(sink, &query, issued_at);
-        work_tx
-            .send(query)
-            .map_err(|_| LoadGenError::SutProtocol("replay worker pool died".into()))?;
-    }
-    drop(work_tx);
-    if sink.enabled() {
-        sink.record(
-            Nanos::from(start.elapsed()).as_nanos(),
-            &TraceEvent::RunPhase {
-                phase: "drain".into(),
-                scenario: settings.scenario.to_string(),
-            },
-        );
-    }
-    let mut log = log_sampler(settings, settings.accuracy_log_probability);
-    for (scheduled_at, completion) in done_rx.iter() {
-        if let Some(completion) = completion {
-            record_completion(recorder, &completion, scheduled_at, &mut log, sink)?;
-        }
-    }
-    for worker in workers {
-        worker
-            .join()
-            .map_err(|_| LoadGenError::SutProtocol("replay worker panicked".into()))?;
-    }
-    Ok(())
+    realtime::run_wall(settings, qsl, sut, sink, Some(origin), Some(schedule), None).map(unhalted)
 }
 
 #[cfg(test)]
@@ -346,6 +166,7 @@ mod tests {
     use super::*;
     use crate::qsl::MemoryQsl;
     use crate::sut::{FixedLatencySut, SleepSut};
+    use mlperf_trace::NoopSink;
     use std::time::Duration;
 
     fn schedule(n: usize, gap_us: u64) -> ReplaySchedule {
@@ -394,7 +215,8 @@ mod tests {
         let settings = TestSettings::offline().with_min_duration(Nanos::ZERO);
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(10));
-        let err = run_simulated_replay(&settings, &s, &mut qsl, &mut sut).unwrap_err();
+        let err =
+            run_simulated_replay_traced(&settings, &s, &mut qsl, &mut sut, &NoopSink).unwrap_err();
         assert!(matches!(err, LoadGenError::BadSettings(_)));
     }
 
@@ -405,7 +227,8 @@ mod tests {
         let settings = replay_settings(n);
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(20));
-        let out = run_simulated_replay(&settings, &s, &mut qsl, &mut sut).unwrap();
+        let out =
+            run_simulated_replay_traced(&settings, &s, &mut qsl, &mut sut, &NoopSink).unwrap();
         assert_eq!(out.result.query_count, n as u64);
         assert!(out.result.is_valid(), "issues: {:?}", out.result.validity);
         // The recorded schedule is authoritative: scheduled times match.
@@ -422,7 +245,7 @@ mod tests {
         let run = || {
             let mut qsl = MemoryQsl::new("q", 16, 16);
             let mut sut = FixedLatencySut::new("s", Nanos::from_micros(20));
-            run_simulated_replay(&settings, &s, &mut qsl, &mut sut).unwrap()
+            run_simulated_replay_traced(&settings, &s, &mut qsl, &mut sut, &NoopSink).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.records, b.records);
@@ -436,7 +259,9 @@ mod tests {
         let settings = replay_settings(n);
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let sut = Arc::new(SleepSut::new("sleepy", Duration::from_micros(50)));
-        let out = run_realtime_replay(&settings, &s, &mut qsl, sut).unwrap();
+        let out =
+            run_realtime_replay_traced_at(&settings, &s, &mut qsl, sut, &NoopSink, Instant::now())
+                .unwrap();
         assert_eq!(out.result.query_count, n as u64);
         assert!(out.result.is_valid(), "issues: {:?}", out.result.validity);
     }
@@ -450,7 +275,8 @@ mod tests {
         let settings = replay_settings(n);
         let mut qsl = MemoryQsl::new("q", 16, 16);
         let mut sut = FixedLatencySut::new("s", Nanos::from_micros(10));
-        let out = run_simulated_replay(&settings, &s, &mut qsl, &mut sut).unwrap();
+        let out =
+            run_simulated_replay_traced(&settings, &s, &mut qsl, &mut sut, &NoopSink).unwrap();
         assert_eq!(out.result.query_count, n as u64);
         assert!(out.result.is_valid());
     }

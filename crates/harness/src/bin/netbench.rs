@@ -33,7 +33,7 @@
 //! estimator), and wire events, all on one time axis. `--detail` /
 //! `--chrome` export the server-scenario run's merged log as JSONL /
 //! Chrome trace JSON; `--metrics` writes the per-run wire metrics
-//! snapshots; `--stats` asks the daemon for a live [`DaemonStats`]
+//! snapshots; `--stats` asks the daemon for a live [`DaemonStats`](mlperf_wire::DaemonStats)
 //! snapshot; `--watch` polls that snapshot into a live console line while
 //! the runs execute. A run that ends INVALID automatically leaves a
 //! flight-recorder dump of its freshest events under `--flight-dir`;

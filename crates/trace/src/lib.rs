@@ -45,7 +45,7 @@
 //! * [`timeseries`] — [`timeseries::TimeSeriesSampler`], snapshotting the
 //!   metrics registry on a simulated-time grid so degradation curves are
 //!   plottable over a run.
-//! * [`bench`] — [`bench::BenchReport`] (the `BENCH_*.json` schema) and
+//! * [`bench`](mod@bench) — [`bench::BenchReport`] (the `BENCH_*.json` schema) and
 //!   [`bench::compare`], the perf-regression gate.
 //!
 //! # Example: record a run into a ring buffer

@@ -1,6 +1,6 @@
 //! Simulated-time series sampling of run metrics.
 //!
-//! The [`MetricsRegistry`](crate::metrics::MetricsRegistry) accumulates over
+//! The [`MetricsRegistry`] accumulates over
 //! a whole run, so the end-of-run snapshot answers "how did the run do" but
 //! not "when did it degrade". This module adds the missing axis: a
 //! [`TimeSeriesSampler`] snapshots the registry at a fixed simulated-time

@@ -363,7 +363,7 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Io`] if the listener's local address cannot be
+/// Returns [`WireError::Io`](crate::WireError::Io) if the listener's local address cannot be
 /// resolved or the accept thread cannot spawn.
 pub fn serve(
     listener: TcpListener,
@@ -415,7 +415,7 @@ pub fn serve(
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Io`] if the bind fails, plus [`serve`]'s failures.
+/// Returns [`WireError::Io`](crate::WireError::Io) if the bind fails, plus [`serve`]'s failures.
 pub fn serve_on(
     addr: &str,
     service: Arc<dyn WireService>,
