@@ -101,9 +101,10 @@ echo "== bench suite (smoke mode, JSON report) =="
 # hot-loop cost);
 # MLPERF_JOURNAL_OVERHEAD_MAX_PCT bounds the fsync-free checkpoint
 # serialization tax in journal_overhead (warn-only: the plain DES
-# baseline is ~300 ns/query, so the ratio is noisy by construction —
-# the gate exists to flag a return of the quadratic full-snapshot
-# serialization, which showed up as >16000% before delta frames).
+# baseline is ~600 ns/query, so the ratio is noisy by construction).
+# Binary delta frames measure about +90-110% there; the allowance is
+# about 3x that, so it flags a return of JSON payloads (about +300%) or
+# of quadratic full-snapshot frames (over +16000% before delta frames).
 BENCH_JSON="$(pwd)/target/bench-current.json"
 rm -f "$BENCH_JSON"
 MLPERF_BENCH_JSON="$BENCH_JSON" \
@@ -115,7 +116,7 @@ MLPERF_FAULT_OVERHEAD_MAX_PCT=10 \
 MLPERF_WIRE_OVERHEAD_MAX_PCT=150 \
 MLPERF_WIRE_CHAOS_OVERHEAD_MAX_PCT=25 \
 MLPERF_REPLAY_OVERHEAD_MAX_PCT=25 \
-MLPERF_JOURNAL_OVERHEAD_MAX_PCT=2000 \
+MLPERF_JOURNAL_OVERHEAD_MAX_PCT=300 \
 cargo bench -p mlperf-bench
 
 if [[ -f BENCH_PR10.json ]]; then

@@ -6,9 +6,10 @@
 //! LoadGen run writes into that WAL so a fresh process can pick the run
 //! back up after a `kill -9`.
 //!
-//! A run journal holds one [`RunMeta`] record (frame 0) followed by
-//! [`Checkpoint`] records at deterministic issued-query boundaries. A
-//! checkpoint is a complete image of the issue loop at a boundary:
+//! A run journal holds one [`RunMeta`] record (frame 0, JSON) followed by
+//! [`Checkpoint`] records (binary, [`Checkpoint::encode`]) at
+//! deterministic issued-query boundaries. A checkpoint is a complete image
+//! of the issue loop at a boundary:
 //!
 //! * the scenario cursor — queries issued, next sample id, the pending
 //!   arrival, elapsed run clock;
@@ -28,11 +29,11 @@
 //! from the daemon's own journal, keeping execution effects exactly-once.
 
 use crate::config::TestSettings;
-use crate::record::RecorderSnapshot;
+use crate::record::{get_opt_nanos, put_opt_nanos, RecorderSnapshot};
 use crate::time::Nanos;
 use crate::LoadGenError;
-use mlperf_trace::codec::fnv1a64;
-use mlperf_trace::journal::{read_journal, JournalWriter, TornTail};
+use mlperf_trace::codec::{fnv1a64, ByteReader, ByteWriter, DecodeError};
+use mlperf_trace::journal::{read_journal, JournalWriter, TornTail, FRAME_HEADER_LEN};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU32;
@@ -60,7 +61,17 @@ pub fn settings_digest(settings: &TestSettings, qsl_size: u64) -> u64 {
     fnv1a64(text.as_bytes())
 }
 
-/// Frame 0 of every run journal: what run this is.
+/// The checkpoint payload format this build writes and reads, named in
+/// every meta frame. Journals written before checkpoints were binary carry
+/// no tag and JSON checkpoint frames; loading or resuming one is refused
+/// with an error naming that format rather than misreading its frames.
+pub const CHECKPOINT_FORMAT: &str = "binary-1";
+
+/// The format an untagged meta frame implies.
+const LEGACY_CHECKPOINT_FORMAT: &str = "json";
+
+/// Frame 0 of every run journal: what run this is. Encoded as JSON, with
+/// the [`CHECKPOINT_FORMAT`] tag the frames after it follow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// The scenario, as its display string.
@@ -78,6 +89,7 @@ impl ToJson for RunMeta {
             ("scenario", self.scenario.to_json_value()),
             ("digest", self.digest.to_json_value()),
             ("qsl_size", self.qsl_size.to_json_value()),
+            ("checkpoint_format", CHECKPOINT_FORMAT.to_json_value()),
         ])
     }
 }
@@ -90,26 +102,6 @@ impl FromJson for RunMeta {
             qsl_size: value.field("qsl_size")?.as_u64()?,
         })
     }
-}
-
-fn rng_state_json(s: &[u64; 4]) -> JsonValue {
-    JsonValue::Array(s.iter().map(|w| w.to_json_value()).collect())
-}
-
-fn rng_state_from(value: &JsonValue) -> Result<[u64; 4], JsonError> {
-    let words = value.as_array()?;
-    if words.len() != 4 {
-        return Err(JsonError::new(format!(
-            "RNG state needs 4 words, got {}",
-            words.len()
-        )));
-    }
-    Ok([
-        words[0].as_u64()?,
-        words[1].as_u64()?,
-        words[2].as_u64()?,
-        words[3].as_u64()?,
-    ])
 }
 
 /// A complete image of the issue loop at one issued-query boundary.
@@ -140,41 +132,74 @@ pub struct Checkpoint {
     pub recorder: RecorderSnapshot,
 }
 
-impl ToJson for Checkpoint {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("kind", "checkpoint".to_json_value()),
-            ("seq", self.seq.to_json_value()),
-            ("issued", self.issued.to_json_value()),
-            ("next_sample_id", self.next_sample_id.to_json_value()),
-            ("wall", self.wall.to_json_value()),
-            ("pending_arrival", self.pending_arrival.to_json_value()),
-            ("qsl_rng", rng_state_json(&self.qsl_rng)),
-            ("sched_rng", rng_state_json(&self.sched_rng)),
-            ("sched_now_bits", self.sched_now_bits.to_json_value()),
-            ("acc_rng", rng_state_json(&self.acc_rng)),
-            ("epoch", self.epoch.to_json_value()),
-            ("recorder", self.recorder.to_json_value()),
-        ])
+impl Checkpoint {
+    /// Appends the binary encoding (all integers big-endian):
+    ///
+    /// ```text
+    /// seq u64, issued u64, next_sample_id u64, wall u64,
+    /// pending u8 [+ pending_arrival u64],
+    /// qsl_rng 4× u64, sched_rng 4× u64, sched_now_bits u64, acc_rng 4× u64,
+    /// epoch u32, recorder (RecorderSnapshot::encode)
+    /// ```
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.seq);
+        w.put_u64(self.issued);
+        w.put_u64(self.next_sample_id);
+        w.put_u64(self.wall.as_nanos());
+        put_opt_nanos(w, self.pending_arrival);
+        put_rng_state(w, &self.qsl_rng);
+        put_rng_state(w, &self.sched_rng);
+        w.put_u64(self.sched_now_bits);
+        put_rng_state(w, &self.acc_rng);
+        w.put_u32(self.epoch);
+        self.recorder.encode(w);
+    }
+
+    /// Decodes one whole checkpoint payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] for cut or malformed bytes, or bytes left
+    /// over after the recorder.
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = ByteReader::new(bytes);
+        let cp = Checkpoint {
+            seq: r.get_u64()?,
+            issued: r.get_u64()?,
+            next_sample_id: r.get_u64()?,
+            wall: Nanos::from_nanos(r.get_u64()?),
+            pending_arrival: get_opt_nanos(&mut r)?,
+            qsl_rng: get_rng_state(&mut r)?,
+            sched_rng: get_rng_state(&mut r)?,
+            sched_now_bits: r.get_u64()?,
+            acc_rng: get_rng_state(&mut r)?,
+            epoch: r.get_u32()?,
+            recorder: RecorderSnapshot::decode(&mut r)?,
+        };
+        r.finish()?;
+        Ok(cp)
+    }
+
+    /// One whole journal frame: reserved header space, then the payload.
+    fn frame(&self) -> Vec<u8> {
+        let r = &self.recorder;
+        // About one allocation per frame: ~190 fixed bytes, ~46 per entry.
+        let entries = r.records.len() + r.outstanding.len() + r.accuracy_log.len();
+        let mut w = ByteWriter::with_capacity(FRAME_HEADER_LEN + 192 + 48 * entries);
+        w.put_bytes(&[0; FRAME_HEADER_LEN]);
+        self.encode(&mut w);
+        w.into_bytes()
     }
 }
 
-impl FromJson for Checkpoint {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(Checkpoint {
-            seq: value.field("seq")?.as_u64()?,
-            issued: value.field("issued")?.as_u64()?,
-            next_sample_id: value.field("next_sample_id")?.as_u64()?,
-            wall: Nanos::from_json_value(value.field("wall")?)?,
-            pending_arrival: Option::from_json_value(value.field("pending_arrival")?)?,
-            qsl_rng: rng_state_from(value.field("qsl_rng")?)?,
-            sched_rng: rng_state_from(value.field("sched_rng")?)?,
-            sched_now_bits: value.field("sched_now_bits")?.as_u64()?,
-            acc_rng: rng_state_from(value.field("acc_rng")?)?,
-            epoch: value.field("epoch")?.as_u32()?,
-            recorder: RecorderSnapshot::from_json_value(value.field("recorder")?)?,
-        })
+fn put_rng_state(w: &mut ByteWriter, s: &[u64; 4]) {
+    for &word in s {
+        w.put_u64(word);
     }
+}
+
+fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], DecodeError> {
+    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
 }
 
 /// How a journaled run checkpoints, and the chaos hooks that halt it.
@@ -286,7 +311,21 @@ fn parse_scan(
         .ok_or_else(|| journal_err(&ctx, "journal has no meta frame"))?;
     let meta_text =
         String::from_utf8(meta_bytes).map_err(|e| journal_err(&ctx, format!("meta frame: {e}")))?;
-    let meta = RunMeta::from_json_str(&meta_text).map_err(|e| journal_err(&ctx, e))?;
+    let meta_value = JsonValue::parse(&meta_text).map_err(|e| journal_err(&ctx, e))?;
+    let format = match meta_value.get("checkpoint_format") {
+        Some(v) => v.as_str().map_err(|e| journal_err(&ctx, e))?,
+        None => LEGACY_CHECKPOINT_FORMAT,
+    };
+    if format != CHECKPOINT_FORMAT {
+        return Err(journal_err(
+            &ctx,
+            format!(
+                "checkpoint frames are in the `{format}` format; this build reads only \
+                 `{CHECKPOINT_FORMAT}` (restart the run instead of resuming it)"
+            ),
+        ));
+    }
+    let meta = RunMeta::from_json_value(&meta_value).map_err(|e| journal_err(&ctx, e))?;
     let mut last: Option<Checkpoint> = None;
     let mut checkpoints = 0u64;
     // Checkpoint frames are deltas: each carries only the records past the
@@ -300,12 +339,31 @@ fn parse_scan(
     let mut folded_accuracy = Vec::new();
     let mut stable = 0usize;
     for frame in frames {
-        let text = String::from_utf8(frame)
-            .map_err(|e| journal_err(&ctx, format!("checkpoint frame: {e}")))?;
-        let mut cp = Checkpoint::from_json_str(&text).map_err(|e| journal_err(&ctx, e))?;
+        let mut cp = Checkpoint::decode(&frame)
+            .map_err(|e| journal_err(&ctx, format!("frame {}: {e}", checkpoints + 1)))?;
         folded_records.truncate(stable);
         folded_records.append(&mut cp.recorder.records);
         folded_accuracy.append(&mut cp.recorder.accuracy_log);
+        // A resume rebuilds each outstanding query from the record its
+        // entry points at, so a frame whose entries point past the folded
+        // records is refused here rather than trusted later.
+        if let Some(e) = cp
+            .recorder
+            .outstanding
+            .iter()
+            .find(|e| e.pos >= folded_records.len())
+        {
+            return Err(journal_err(
+                &ctx,
+                format!(
+                    "checkpoint {}: outstanding query {} points at record {} of {}",
+                    cp.seq,
+                    e.id,
+                    e.pos,
+                    folded_records.len()
+                ),
+            ));
+        }
         stable = stable_prefix(&cp.recorder.outstanding, folded_records.len());
         checkpoints += 1;
         last = Some(cp);
@@ -478,9 +536,8 @@ impl RunJournal {
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
     pub fn checkpoint(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
-        let payload = cp.to_json_string();
         self.writer
-            .append(payload.as_bytes())
+            .append_frame(&mut cp.frame())
             .map_err(|e| journal_err("checkpoint append", e))?;
         let total = self.records_flushed + cp.recorder.records.len();
         self.records_flushed = stable_prefix(&cp.recorder.outstanding, total);
@@ -499,9 +556,10 @@ impl RunJournal {
     ///
     /// Returns [`LoadGenError::Journal`] on I/O failure.
     pub fn checkpoint_torn(&mut self, cp: &Checkpoint) -> Result<(), LoadGenError> {
-        let payload = cp.to_json_string();
+        let frame = cp.frame();
+        let payload = &frame[FRAME_HEADER_LEN..];
         self.writer
-            .append_torn(payload.as_bytes(), payload.len() / 2)
+            .append_torn(payload, payload.len() / 2)
             .map_err(|e| journal_err("torn checkpoint append", e))
     }
 
@@ -582,10 +640,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_through_json() {
+    fn checkpoint_roundtrips_through_bytes() {
         let cp = sample_checkpoint(3);
-        let back = Checkpoint::from_json_str(&cp.to_json_string()).unwrap();
-        assert_eq!(back, cp);
+        let mut w = ByteWriter::new();
+        cp.encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), cp);
+        assert_eq!(cp.frame()[FRAME_HEADER_LEN..], bytes[..]);
+        // Trailing bytes and a cut payload are both refused.
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(
+            Checkpoint::decode(&long),
+            Err(DecodeError::TrailingBytes(1))
+        );
+        assert!(Checkpoint::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
@@ -634,6 +703,81 @@ mod tests {
         let loaded = load_run_journal(&path).unwrap();
         assert_eq!(loaded.checkpoints, 2);
         assert!(loaded.torn.is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn json_checkpoint_journals_are_refused_by_format() {
+        // A journal as builds before binary checkpoints wrote it: an
+        // untagged meta frame, then a JSON checkpoint.
+        let path = tmp("legacy");
+        let mut w = JournalWriter::create(&path, 0).unwrap();
+        w.append(br#"{"kind": "meta", "scenario": "Server", "digest": 1, "qsl_size": 8}"#)
+            .unwrap();
+        w.append(
+            br#"{"kind": "checkpoint", "seq": 0, "issued": 16, "next_sample_id": 16,
+                "wall": 5000000, "pending_arrival": 6000000, "qsl_rng": [1, 2, 3, 4],
+                "sched_rng": [5, 6, 7, 8], "sched_now_bits": 0, "acc_rng": [9, 10, 11, 12],
+                "epoch": 0, "recorder": {"records": [], "outstanding": [],
+                "accuracy_log": [], "samples_completed": 0, "last_completion": 0,
+                "errored": 0}}"#,
+        )
+        .unwrap();
+        drop(w);
+        let meta = RunMeta {
+            scenario: "Server".into(),
+            digest: 1,
+            qsl_size: 8,
+        };
+        let cfg = JournalConfig::new(&path);
+        let refusals = [
+            load_run_journal(&path).unwrap_err(),
+            RunJournal::attach(&cfg, &meta, true).unwrap_err(),
+        ];
+        for err in refusals {
+            match err {
+                LoadGenError::Journal(msg) => {
+                    assert!(msg.contains("`json` format"), "{msg}");
+                    assert!(msg.contains(CHECKPOINT_FORMAT), "{msg}");
+                }
+                other => panic!("expected a journal error, got {other:?}"),
+            }
+        }
+        // Under a current meta frame, a JSON checkpoint does not decode.
+        let mut j = RunJournal::create(&cfg, &meta).unwrap();
+        j.writer.append(br#"{"kind": "checkpoint"}"#).unwrap();
+        j.sync().unwrap();
+        let err = load_run_journal(&path).unwrap_err();
+        assert!(matches!(err, LoadGenError::Journal(_)), "{err:?}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn outstanding_entry_past_the_records_is_refused() {
+        // A resume would index the records at this position; a frame that
+        // passes its CRC but points past them must not load.
+        let path = tmp("dangling");
+        let cfg = JournalConfig::new(&path);
+        let meta = RunMeta {
+            scenario: "server".into(),
+            digest: 1,
+            qsl_size: 8,
+        };
+        let mut cp = sample_checkpoint(0);
+        cp.recorder
+            .outstanding
+            .push(crate::record::OutstandingEntry {
+                id: 7,
+                pos: 99,
+                samples: vec![(7, 3)],
+            });
+        let mut j = RunJournal::create(&cfg, &meta).unwrap();
+        j.checkpoint(&cp).unwrap();
+        j.sync().unwrap();
+        match load_run_journal(&path).unwrap_err() {
+            LoadGenError::Journal(msg) => assert!(msg.contains("points at record 99"), "{msg}"),
+            other => panic!("expected a journal error, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,6 +1,7 @@
 //! Queries, samples, and responses.
 
 use crate::time::Nanos;
+use mlperf_trace::codec::{ByteReader, ByteWriter, DecodeError};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 
 /// Identifier of an issued query, unique within one run.
@@ -60,10 +61,86 @@ pub enum ResponsePayload {
     Tokens(Vec<u32>),
 }
 
+/// Encoded size of one detection box: class u64, score f32, 4× f32.
+const BOX_LEN: usize = 8 + 4 + 16;
+
 impl ResponsePayload {
     /// Whether the payload carries data.
     pub fn is_empty(&self) -> bool {
         matches!(self, ResponsePayload::Empty)
+    }
+
+    /// Appends the payload's one byte encoding, shared by wire completions
+    /// and run-journal accuracy entries: a tag byte — 0 empty, 1 class
+    /// (u64), 2 boxes (n u32, n× class u64 + score f32 + 4× f32), 3 tokens
+    /// (n u32, n× u32).
+    #[inline]
+    pub fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            ResponsePayload::Empty => w.put_u8(0),
+            ResponsePayload::Class(class) => {
+                w.put_u8(1);
+                w.put_u64(*class as u64);
+            }
+            ResponsePayload::Boxes(boxes) => {
+                w.put_u8(2);
+                w.put_count(boxes.len());
+                for (class, score, rect) in boxes {
+                    w.put_u64(*class as u64);
+                    w.put_f32(*score);
+                    for coord in rect {
+                        w.put_f32(*coord);
+                    }
+                }
+            }
+            ResponsePayload::Tokens(tokens) => {
+                w.put_u8(3);
+                w.put_count(tokens.len());
+                for t in tokens {
+                    w.put_u32(*t);
+                }
+            }
+        }
+    }
+
+    /// Reads one [`encode`](ResponsePayload::encode)d payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] for a cut payload, a count larger than the
+    /// bytes that remain, or an unknown tag.
+    #[inline]
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        match r.get_u8()? {
+            0 => Ok(ResponsePayload::Empty),
+            1 => Ok(ResponsePayload::Class(r.get_u64()? as usize)),
+            2 => {
+                let n = r.get_count(BOX_LEN)?;
+                let mut boxes = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let class = r.get_u64()? as usize;
+                    let score = r.get_f32()?;
+                    let mut rect = [0.0f32; 4];
+                    for coord in &mut rect {
+                        *coord = r.get_f32()?;
+                    }
+                    boxes.push((class, score, rect));
+                }
+                Ok(ResponsePayload::Boxes(boxes))
+            }
+            3 => {
+                let n = r.get_count(4)?;
+                let mut tokens = Vec::with_capacity(n);
+                for _ in 0..n {
+                    tokens.push(r.get_u32()?);
+                }
+                Ok(ResponsePayload::Tokens(tokens))
+            }
+            tag => Err(DecodeError::UnknownTag {
+                field: "payload",
+                tag,
+            }),
+        }
     }
 }
 

@@ -15,7 +15,9 @@
 //! schedule (`crate::replay`) — goes through one open-loop driver: one
 //! worker pool, one sleep–issue loop, one halt path, one drain. A query
 //! is stamped issued when the driver hands it to the pool, never before
-//! its scheduled arrival; latency is measured from the arrival.
+//! its scheduled arrival; latency is measured from the arrival. The
+//! driver records completions as they land, after each hand-off, so a
+//! journal checkpoint sees only what is really in flight.
 //!
 //! Unlike the simulated loop, a realtime SUT can fail *structurally*: the
 //! wire extension puts the LoadGen/SUT boundary on a socket, and sockets
@@ -207,7 +209,8 @@ where
                 next: 0,
                 next_sample_id: 0,
             };
-            drive_open_loop(&mut wall, population, arrivals, Vec::new(), None)?
+            let acc_rng = Rng64::new(settings.seeds.accuracy_seed);
+            drive_open_loop(&mut wall, population, arrivals, acc_rng, Vec::new(), None)?
         }
         (TestMode::PerformanceOnly, None) => match settings.scenario {
             Scenario::SingleStream => {
@@ -226,7 +229,7 @@ where
                 false
             }
             Scenario::Server => {
-                let (cursor, reissue) = match &restored {
+                let (cursor, acc_rng, reissue) = match &restored {
                     Some(cp) => {
                         wall.recorder = Recorder::restore(cp.recorder.clone());
                         // Shift the clock origin into the past so `elapsed()`
@@ -236,12 +239,18 @@ where
                             .checked_sub(cp.wall.to_duration())
                             .unwrap_or_else(Instant::now);
                         let cursor = ServerCursor::restore(settings, cp)?;
-                        (cursor, cp.recorder.outstanding_queries())
+                        let acc_rng = Rng64::from_state(cp.acc_rng);
+                        (cursor, acc_rng, cp.recorder.outstanding_queries())
                     }
-                    None => (ServerCursor::fresh(settings)?, Vec::new()),
+                    None => (
+                        ServerCursor::fresh(settings)?,
+                        Rng64::new(settings.seeds.accuracy_seed),
+                        Vec::new(),
+                    ),
                 };
                 let arrivals = Arrivals::Server(cursor);
-                drive_open_loop(&mut wall, population, arrivals, reissue, journal.as_mut())?
+                let journal = journal.as_mut();
+                drive_open_loop(&mut wall, population, arrivals, acc_rng, reissue, journal)?
             }
         },
     };
@@ -361,7 +370,12 @@ impl Wall<'_> {
 
 fn log_sampler(settings: &TestSettings, probability: f64) -> impl FnMut(u64) -> bool {
     let mut rng = Rng64::new(settings.seeds.accuracy_seed);
-    move |_| probability > 0.0 && rng.next_bool(probability)
+    move |_| draw(&mut rng, probability)
+}
+
+/// One accuracy-log draw: whether a completed sample's payload is logged.
+fn draw(rng: &mut Rng64, probability: f64) -> bool {
+    probability > 0.0 && rng.next_bool(probability)
 }
 
 fn record_issue_event(sink: &dyn TraceSink, query: &Query, issued_at: Nanos) {
@@ -538,15 +552,22 @@ impl Arrivals<'_> {
 /// (TEST06 needs an issue event ahead of each completion in the resumed
 /// log; a remote end dedups the re-execution via its completion journal).
 /// Then it sleeps to each arrival and hands the query to the pool, stamped
-/// issued at `max(now, arrival)`. With a journal attached, a checkpoint is
-/// captured every `checkpoint_every` issued queries; when the armed halt
-/// fires the in-flight completions are discarded, as a killed process
-/// would lose them, and the driver returns `true`. Otherwise every
-/// completion is drained into the recorder.
+/// issued at `max(now, arrival)`, and folds every completion that has
+/// already come back into the recorder. Folding as completions land keeps
+/// the recorder's outstanding set to what is really in flight, so a
+/// checkpoint's stable prefix advances with the run and each frame carries
+/// only its delta. `acc_rng` is the run's one accuracy-log sampler, fresh
+/// or restored from the checkpoint, and each checkpoint captures its live
+/// state. With a journal attached, a checkpoint is captured every
+/// `checkpoint_every` issued queries; when the armed halt fires the
+/// in-flight completions are discarded, as a killed process would lose
+/// them, and the driver returns `true`. Otherwise the completions still in
+/// flight are drained into the recorder.
 fn drive_open_loop(
     wall: &mut Wall<'_>,
     population: usize,
     mut arrivals: Arrivals<'_>,
+    mut acc_rng: Rng64,
     reissue: Vec<Query>,
     mut journal: Option<&mut (RunJournal, &JournalConfig)>,
 ) -> Result<bool, LoadGenError> {
@@ -595,9 +616,10 @@ fn drive_open_loop(
         let issued_at = wall.now().max(arrival);
         wall.issue(&query, issued_at)?;
         send(query)?;
+        fold(wall, done_rx.try_iter(), &mut acc_rng)?;
         if let (Some((journal, cfg)), Arrivals::Server(cursor)) = (&mut journal, &arrivals) {
             if cursor.issued.is_multiple_of(cfg.checkpoint_every) {
-                let cp = checkpoint(journal, cfg, cursor, wall);
+                let cp = checkpoint(journal, cfg, cursor, wall, &acc_rng);
                 if journal.append_checkpoint(cfg, &cp)? {
                     halted = true;
                     break;
@@ -614,12 +636,7 @@ fn drive_open_loop(
         return Ok(true);
     }
     wall.record_drain();
-    let mut log = log_sampler(settings, settings.accuracy_log_probability);
-    for (scheduled_at, completion) in done_rx.iter() {
-        if let Some(completion) = completion {
-            wall.complete(&completion, scheduled_at, &mut log)?;
-        }
-    }
+    fold(wall, done_rx.iter(), &mut acc_rng)?;
     for worker in workers {
         worker
             .join()
@@ -628,12 +645,29 @@ fn drive_open_loop(
     Ok(false)
 }
 
+/// Records the completions workers have reported, as `(scheduled_at,
+/// completion)` pairs; a `None` completion is a query that vanished.
+fn fold(
+    wall: &mut Wall<'_>,
+    done: impl Iterator<Item = (Nanos, Option<QueryCompletion>)>,
+    acc_rng: &mut Rng64,
+) -> Result<(), LoadGenError> {
+    let probability = wall.settings.accuracy_log_probability;
+    for (scheduled_at, completion) in done {
+        if let Some(completion) = completion {
+            wall.complete(&completion, scheduled_at, |_| draw(acc_rng, probability))?;
+        }
+    }
+    Ok(())
+}
+
 /// The checkpoint of a wall-clock server run at its current boundary.
 fn checkpoint(
     journal: &RunJournal,
     cfg: &JournalConfig,
     cursor: &ServerCursor,
     wall: &Wall<'_>,
+    acc_rng: &Rng64,
 ) -> Checkpoint {
     let (sched_rng, sched_now) = cursor.arrivals.state();
     let (records_from, accuracy_from) = journal.flushed_marks();
@@ -646,9 +680,7 @@ fn checkpoint(
         qsl_rng: cursor.qsl_rng.state(),
         sched_rng,
         sched_now_bits: sched_now.to_bits(),
-        // The wall-clock drain rebuilds its accuracy-log sampler from the
-        // seed, so the checkpoint pins the seed-fresh state.
-        acc_rng: Rng64::new(wall.settings.seeds.accuracy_seed).state(),
+        acc_rng: acc_rng.state(),
         epoch: cfg
             .epoch_source
             .as_ref()
@@ -1002,6 +1034,114 @@ mod tests {
             .sum();
         assert!(skipped >= out.records.len() as u64, "{skipped} skips");
         assert_eq!(dropped, skipped);
+    }
+
+    /// Runs a fresh journaled server run into `path` and returns it.
+    fn journaled_run(
+        settings: &TestSettings,
+        path: &std::path::Path,
+        cfg: &crate::journal::JournalConfig,
+        resume: bool,
+    ) -> JournaledRun {
+        if !resume {
+            let _ = std::fs::remove_file(path);
+        }
+        let mut qsl = MemoryQsl::new("q", 16, 16);
+        run_realtime_journaled(settings, &mut qsl, sleepy(5), &NoopSink, cfg, resume).unwrap()
+    }
+
+    #[test]
+    fn wall_clock_checkpoints_carry_only_their_delta() {
+        const EVERY: u64 = 8;
+        // A frame re-sends the records from the lowest outstanding one on,
+        // so its size is bounded by what is really in flight. 64 queries is
+        // a 64 ms stall at 1k QPS: far above a healthy run's window of one
+        // or two, far below the whole-run window of a journal that never
+        // folds completions before the drain.
+        const WINDOW_CAP: usize = 64;
+        let dir = std::env::temp_dir().join(format!("mlpj-rt-delta-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes_per_query = Vec::new();
+        for queries in [400u64, 800] {
+            let settings = TestSettings::server(1_000.0, Nanos::from_millis(50))
+                .with_min_query_count(queries)
+                .with_min_duration(Nanos::from_millis(1));
+            let path = dir.join(format!("delta-{queries}.mlpj"));
+            let cfg = crate::journal::JournalConfig::new(&path)
+                .with_checkpoint_every(EVERY)
+                .with_fsync_every(u32::MAX);
+            let out = journaled_run(&settings, &path, &cfg, false)
+                .finished()
+                .expect("no halt armed");
+            let scan = mlperf_trace::journal::read_journal(&path).unwrap();
+            assert!(scan.torn.is_none());
+            let frames = &scan.records[1..];
+            assert_eq!(frames.len() as u64, out.records.len() as u64 / EVERY);
+            for (k, frame) in frames.iter().enumerate() {
+                let cp = Checkpoint::decode(frame).unwrap();
+                let (records, outstanding) =
+                    (cp.recorder.records.len(), cp.recorder.outstanding.len());
+                assert!(
+                    outstanding <= WINDOW_CAP && records <= EVERY as usize + WINDOW_CAP,
+                    "{queries}-query run, checkpoint {k}: {records} records, \
+                     {outstanding} outstanding"
+                );
+            }
+            let len = std::fs::metadata(&path).unwrap().len();
+            bytes_per_query.push(len as f64 / out.records.len() as f64);
+            std::fs::remove_file(&path).unwrap();
+        }
+        // Linear journals: twice the run, the same bytes per query.
+        let growth = bytes_per_query[1] / bytes_per_query[0];
+        assert!(growth <= 1.25, "bytes/query {bytes_per_query:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wall_clock_accuracy_sampler_survives_resume() {
+        // One worker completes queries in issue order, so the n-th draw
+        // always decides the n-th sample and the logged ids are a pure
+        // function of the seed.
+        let settings = TestSettings::server(1_000.0, Nanos::from_millis(50))
+            .with_min_query_count(64)
+            .with_min_duration(Nanos::from_millis(1))
+            .with_accuracy_log_probability(0.5)
+            .with_server_workers(1);
+        let dir = std::env::temp_dir().join(format!("mlpj-rt-acc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let logged = |out: &RunOutcome| -> Vec<u64> {
+            out.accuracy_log.iter().map(|a| a.sample_id).collect()
+        };
+        let path = dir.join("baseline.mlpj");
+        let cfg = crate::journal::JournalConfig::new(&path).with_checkpoint_every(8);
+        let baseline = journaled_run(&settings, &path, &cfg, false)
+            .finished()
+            .expect("no halt armed");
+        assert!(!baseline.accuracy_log.is_empty());
+
+        let path = dir.join("halted.mlpj");
+        let cfg = crate::journal::JournalConfig::new(&path).with_checkpoint_every(8);
+        let halted = journaled_run(&settings, &path, &cfg.clone().with_halt_after(1), false);
+        assert!(matches!(halted, JournaledRun::Halted { checkpoint: 1 }));
+        let cp = crate::journal::load_run_journal(&path)
+            .unwrap()
+            .last
+            .expect("checkpoint 1 is on disk");
+        // The checkpoint holds the live sampler: the seed advanced by one
+        // draw per sample completed before it.
+        let draws = cp.recorder.samples_completed;
+        assert!(draws > 0, "no completion folded before checkpoint 1");
+        let mut expect = Rng64::new(settings.seeds.accuracy_seed);
+        let hits = (0..draws).filter(|_| expect.next_bool(0.5)).count();
+        assert_eq!(cp.acc_rng, expect.state());
+        assert_eq!(cp.recorder.accuracy_log.len(), hits);
+
+        let rescued = journaled_run(&settings, &path, &cfg, true)
+            .finished()
+            .expect("resume runs to completion");
+        assert_eq!(logical(&rescued.records), logical(&baseline.records));
+        assert_eq!(logged(&rescued), logged(&baseline));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Checks every `QueryIssued` event against the run's records: the

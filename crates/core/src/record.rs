@@ -3,6 +3,7 @@
 use crate::query::{Query, QueryCompletion, QueryId, ResponsePayload, SampleIndex};
 use crate::time::Nanos;
 use crate::LoadGenError;
+use mlperf_trace::codec::{ByteReader, ByteWriter, DecodeError};
 use mlperf_trace::{FromJson, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
 
@@ -130,45 +131,10 @@ pub struct OutstandingEntry {
     pub samples: Vec<(u64, SampleIndex)>,
 }
 
-impl ToJson for OutstandingEntry {
-    fn to_json_value(&self) -> JsonValue {
-        let samples: Vec<JsonValue> = self
-            .samples
-            .iter()
-            .map(|(sid, sindex)| {
-                JsonValue::object(vec![
-                    ("id", sid.to_json_value()),
-                    ("index", sindex.to_json_value()),
-                ])
-            })
-            .collect();
-        JsonValue::object(vec![
-            ("id", self.id.to_json_value()),
-            ("pos", self.pos.to_json_value()),
-            ("samples", JsonValue::Array(samples)),
-        ])
-    }
-}
-
-impl FromJson for OutstandingEntry {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
-        let samples = value
-            .field("samples")?
-            .as_array()?
-            .iter()
-            .map(|s| Ok((s.field("id")?.as_u64()?, s.field("index")?.as_usize()?)))
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(OutstandingEntry {
-            id: value.field("id")?.as_u64()?,
-            pos: value.field("pos")?.as_usize()?,
-            samples,
-        })
-    }
-}
-
 /// A serializable image of a [`Recorder`]'s complete state.
 ///
-/// This is what a run checkpoint carries: restoring it with
+/// This is what a run checkpoint carries, in the binary layout of
+/// [`RecorderSnapshot::encode`]: restoring it with
 /// [`Recorder::restore`] yields a recorder indistinguishable from the one
 /// snapshotted, and [`RecorderSnapshot::outstanding_queries`] rebuilds the
 /// in-flight [`Query`] values a resumed run must re-issue.
@@ -216,32 +182,124 @@ impl RecorderSnapshot {
     ) -> impl Iterator<Item = (u64, SampleIndex)> + 'a {
         e.samples.iter().copied()
     }
-}
 
-impl ToJson for RecorderSnapshot {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("records", self.records.to_json_value()),
-            ("outstanding", self.outstanding.to_json_value()),
-            ("accuracy_log", self.accuracy_log.to_json_value()),
-            ("samples_completed", self.samples_completed.to_json_value()),
-            ("last_completion", self.last_completion.to_json_value()),
-            ("errored", self.errored.to_json_value()),
-        ])
+    /// Appends the binary encoding (all integers big-endian, counts `u32`):
+    ///
+    /// ```text
+    /// n u32, n× record:      id u64, scheduled_at u64, issued_at u64,
+    ///                        completed u8 [+ completed_at u64],
+    ///                        sample_count u64, skipped_intervals u32, error u8
+    /// n u32, n× outstanding: id u64, pos u64, m u32, m× (sample_id u64, index u64)
+    /// n u32, n× accuracy:    sample_id u64, sample_index u64, payload
+    /// samples_completed u64, last_completion u64, errored u64
+    /// ```
+    ///
+    /// `payload` is [`ResponsePayload::encode`], the wire's layout.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_count(self.records.len());
+        for r in &self.records {
+            w.put_u64(r.id);
+            w.put_u64(r.scheduled_at.as_nanos());
+            w.put_u64(r.issued_at.as_nanos());
+            put_opt_nanos(w, r.completed_at);
+            w.put_u64(r.sample_count as u64);
+            w.put_u32(r.skipped_intervals);
+            w.put_bool(r.error);
+        }
+        w.put_count(self.outstanding.len());
+        for e in &self.outstanding {
+            w.put_u64(e.id);
+            w.put_u64(e.pos as u64);
+            w.put_count(e.samples.len());
+            for &(sid, sindex) in &e.samples {
+                w.put_u64(sid);
+                w.put_u64(sindex as u64);
+            }
+        }
+        w.put_count(self.accuracy_log.len());
+        for a in &self.accuracy_log {
+            w.put_u64(a.sample_id);
+            w.put_u64(a.sample_index as u64);
+            a.payload.encode(w);
+        }
+        w.put_u64(self.samples_completed);
+        w.put_u64(self.last_completion.as_nanos());
+        w.put_u64(self.errored);
     }
-}
 
-impl FromJson for RecorderSnapshot {
-    fn from_json_value(value: &JsonValue) -> Result<Self, JsonError> {
+    /// Reads one [`encode`](RecorderSnapshot::encode)d snapshot. Every
+    /// count is checked against the bytes that remain before anything is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] for cut or malformed bytes.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        // Smallest encodings: a record with no completion, an outstanding
+        // entry with no samples, an accuracy entry with an empty payload.
+        const RECORD_LEN: usize = 8 + 8 + 8 + 1 + 8 + 4 + 1;
+        const OUTSTANDING_LEN: usize = 8 + 8 + 4;
+        const ACCURACY_LEN: usize = 8 + 8 + 1;
+        let n = r.get_count(RECORD_LEN)?;
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            records.push(QueryRecord {
+                id: r.get_u64()?,
+                scheduled_at: Nanos::from_nanos(r.get_u64()?),
+                issued_at: Nanos::from_nanos(r.get_u64()?),
+                completed_at: get_opt_nanos(r)?,
+                sample_count: r.get_u64()? as usize,
+                skipped_intervals: r.get_u32()?,
+                error: r.get_bool()?,
+            });
+        }
+        let n = r.get_count(OUTSTANDING_LEN)?;
+        let mut outstanding = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = r.get_u64()?;
+            let pos = r.get_u64()? as usize;
+            let m = r.get_count(16)?;
+            let mut samples = Vec::with_capacity(m);
+            for _ in 0..m {
+                samples.push((r.get_u64()?, r.get_u64()? as usize));
+            }
+            outstanding.push(OutstandingEntry { id, pos, samples });
+        }
+        let n = r.get_count(ACCURACY_LEN)?;
+        let mut accuracy_log = Vec::with_capacity(n);
+        for _ in 0..n {
+            accuracy_log.push(LoggedResponse {
+                sample_id: r.get_u64()?,
+                sample_index: r.get_u64()? as usize,
+                payload: ResponsePayload::decode(r)?,
+            });
+        }
         Ok(RecorderSnapshot {
-            records: Vec::from_json_value(value.field("records")?)?,
-            outstanding: Vec::from_json_value(value.field("outstanding")?)?,
-            accuracy_log: Vec::from_json_value(value.field("accuracy_log")?)?,
-            samples_completed: value.field("samples_completed")?.as_u64()?,
-            last_completion: Nanos::from_json_value(value.field("last_completion")?)?,
-            errored: value.field("errored")?.as_u64()?,
+            records,
+            outstanding,
+            accuracy_log,
+            samples_completed: r.get_u64()?,
+            last_completion: Nanos::from_nanos(r.get_u64()?),
+            errored: r.get_u64()?,
         })
     }
+}
+
+/// Appends an optional timestamp: a presence flag, then the value.
+pub(crate) fn put_opt_nanos(w: &mut ByteWriter, v: Option<Nanos>) {
+    w.put_bool(v.is_some());
+    if let Some(v) = v {
+        w.put_u64(v.as_nanos());
+    }
+}
+
+/// Reads a [`put_opt_nanos`] timestamp.
+pub(crate) fn get_opt_nanos(r: &mut ByteReader<'_>) -> Result<Option<Nanos>, DecodeError> {
+    Ok(if r.get_bool()? {
+        Some(Nanos::from_nanos(r.get_u64()?))
+    } else {
+        None
+    })
 }
 
 /// Records issues and completions, enforcing the SUT protocol.
@@ -585,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_through_json() {
+    fn snapshot_restore_roundtrips_through_bytes() {
         let mut r = Recorder::new();
         r.record_issue(&query(1), Nanos::from_micros(5)).unwrap();
         r.record_issue(&query(2), Nanos::from_micros(7)).unwrap();
@@ -595,8 +653,12 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.outstanding.len(), 2);
         assert_eq!(snap.outstanding[0].id, 1);
-        let json = snap.to_json_string();
-        let back = RecorderSnapshot::from_json_str(&json).unwrap();
+        let mut w = ByteWriter::new();
+        snap.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let back = RecorderSnapshot::decode(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back, snap);
 
         // The restored recorder behaves exactly like the original: known

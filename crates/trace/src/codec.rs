@@ -139,6 +139,13 @@ pub enum DecodeError {
     },
     /// Bytes remain after the structure ended.
     TrailingBytes(usize),
+    /// A tag byte (an enum discriminant or a flag) outside its range.
+    UnknownTag {
+        /// What the tag selects (`"payload"`, `"bool"`, ...).
+        field: &'static str,
+        /// The byte read.
+        tag: u8,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -152,6 +159,7 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::InvalidUtf8 { at } => write!(f, "invalid UTF-8 string at offset {at}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the last field"),
+            DecodeError::UnknownTag { field, tag } => write!(f, "unknown {field} tag {tag}"),
         }
     }
 }
@@ -225,6 +233,12 @@ impl ByteWriter {
     #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Appends a flag as one byte, 0 or 1.
+    #[inline]
+    pub fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
     }
 
     /// Appends a `u32` element count (the writer side of
@@ -321,6 +335,17 @@ impl<'a> ByteReader<'a> {
         self.get_u64().map(f64::from_bits)
     }
 
+    /// Reads a flag byte; anything but 0 or 1 is
+    /// [`DecodeError::UnknownTag`].
+    #[inline]
+    pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(DecodeError::UnknownTag { field: "bool", tag }),
+        }
+    }
+
     /// Reads a `u32` element count whose elements each encode in at least
     /// `min_size` bytes, and rejects it unless that many elements could
     /// fit in the bytes that remain. Route every count through here before
@@ -415,6 +440,7 @@ mod tests {
         w.put_u64(u64::MAX - 3);
         w.put_f32(0.25);
         w.put_f64(-1.5e300);
+        w.put_bool(true);
         w.put_str("schnell");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -425,6 +451,7 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.get_f32().unwrap(), 0.25);
         assert_eq!(r.get_f64().unwrap(), -1.5e300);
+        assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "schnell");
         r.finish().unwrap();
     }
@@ -477,6 +504,17 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         r.get_u8().unwrap();
         assert_eq!(r.finish(), Err(DecodeError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn flag_outside_zero_one_rejected() {
+        assert_eq!(
+            ByteReader::new(&[2]).get_bool(),
+            Err(DecodeError::UnknownTag {
+                field: "bool",
+                tag: 2
+            })
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub const VERSION: u16 = 1;
 /// Bytes of magic + version before the first frame.
 const HEADER_LEN: u64 = 6;
 /// Bytes of length + CRC before each frame payload.
-const FRAME_HEADER_LEN: usize = 8;
+pub const FRAME_HEADER_LEN: usize = 8;
 /// Sanity cap on a decoded frame length (a checkpoint is kilobytes; 256 MiB
 /// is a corrupt length field, not a record).
 const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
@@ -273,10 +273,31 @@ impl JournalWriter {
     /// Returns the underlying I/O error.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<()> {
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(payload).to_be_bytes());
+        frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
         frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.append_frame(&mut frame)
+    }
+
+    /// Appends one frame built in place: `frame` is
+    /// [`FRAME_HEADER_LEN`] reserved bytes followed by the payload, and the
+    /// length and CRC are written into the reserved bytes, so an encoder
+    /// that reserves them up front never copies its payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`std::io::ErrorKind::InvalidInput`] when `frame` is shorter
+    /// than the header, else the underlying I/O error.
+    pub fn append_frame(&mut self, frame: &mut [u8]) -> std::io::Result<()> {
+        if frame.len() < FRAME_HEADER_LEN {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "journal frame shorter than its header",
+            ));
+        }
+        let (head, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        head[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+        self.file.write_all(frame)?;
         self.unsynced += 1;
         if self.unsynced > self.fsync_every {
             self.sync()?;
@@ -329,6 +350,8 @@ mod tests {
         for i in 0..10u8 {
             w.append(&[i; 5]).unwrap();
         }
+        // A frame too short to hold its own header is refused unwritten.
+        assert!(w.append_frame(&mut [0; FRAME_HEADER_LEN - 1]).is_err());
         w.sync().unwrap();
         let scan = read_journal(&path).unwrap();
         assert!(scan.torn.is_none());

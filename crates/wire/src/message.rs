@@ -20,9 +20,10 @@
 //! | 14  | `ClockProbe`   | seq u64, t0 u64                                             |
 //! | 15  | `ClockProbeAck`| seq u64, t0 u64, t1 u64, t2 u64                             |
 //!
-//! Response payloads are themselves tagged: 0 empty, 1 class (u64),
-//! 2 boxes (n u32, n× class u64 + score f32 + 4× f32), 3 tokens
-//! (n u32, n× u32).
+//! Response payloads use their own tagged encoding,
+//! [`ResponsePayload::encode`], shared with the run journal: 0 empty,
+//! 1 class (u64), 2 boxes (n u32, n× class u64 + score f32 + 4× f32),
+//! 3 tokens (n u32, n× u32).
 //!
 //! Every count is bounded by the bytes that remain before anything is
 //! allocated ([`ByteReader::get_count`]). On the wire every encoded
@@ -176,67 +177,6 @@ fn scenario_from_tag(tag: u8) -> Result<Scenario, WireError> {
     }
 }
 
-fn put_payload(w: &mut ByteWriter, payload: &ResponsePayload) {
-    match payload {
-        ResponsePayload::Empty => w.put_u8(0),
-        ResponsePayload::Class(class) => {
-            w.put_u8(1);
-            w.put_u64(*class as u64);
-        }
-        ResponsePayload::Boxes(boxes) => {
-            w.put_u8(2);
-            w.put_count(boxes.len());
-            for (class, score, rect) in boxes {
-                w.put_u64(*class as u64);
-                w.put_f32(*score);
-                for coord in rect {
-                    w.put_f32(*coord);
-                }
-            }
-        }
-        ResponsePayload::Tokens(tokens) => {
-            w.put_u8(3);
-            w.put_count(tokens.len());
-            for t in tokens {
-                w.put_u32(*t);
-            }
-        }
-    }
-}
-
-/// Encoded size of one detection box: class u64, score f32, 4× f32.
-const BOX_LEN: usize = 8 + 4 + 16;
-
-fn get_payload(r: &mut ByteReader<'_>) -> Result<ResponsePayload, WireError> {
-    match r.get_u8()? {
-        0 => Ok(ResponsePayload::Empty),
-        1 => Ok(ResponsePayload::Class(r.get_u64()? as usize)),
-        2 => {
-            let n = r.get_count(BOX_LEN)?;
-            let mut boxes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let class = r.get_u64()? as usize;
-                let score = r.get_f32()?;
-                let mut rect = [0.0f32; 4];
-                for coord in &mut rect {
-                    *coord = r.get_f32()?;
-                }
-                boxes.push((class, score, rect));
-            }
-            Ok(ResponsePayload::Boxes(boxes))
-        }
-        3 => {
-            let n = r.get_count(4)?;
-            let mut tokens = Vec::with_capacity(n);
-            for _ in 0..n {
-                tokens.push(r.get_u32()?);
-            }
-            Ok(ResponsePayload::Tokens(tokens))
-        }
-        other => Err(WireError::Protocol(format!("unknown payload tag {other}"))),
-    }
-}
-
 fn put_query(w: &mut ByteWriter, query: &Query) {
     w.put_u64(query.id);
     w.put_u64(query.scheduled_at.as_nanos());
@@ -329,7 +269,7 @@ impl Message {
                 w.put_count(samples.len());
                 for s in samples {
                     w.put_u64(s.sample_id);
-                    put_payload(&mut w, &s.payload);
+                    s.payload.encode(&mut w);
                 }
             }
             Message::Drain => {
@@ -427,7 +367,7 @@ impl Message {
                 for _ in 0..n {
                     samples.push(SampleCompletion {
                         sample_id: r.get_u64()?,
-                        payload: get_payload(&mut r)?,
+                        payload: ResponsePayload::decode(&mut r)?,
                     });
                 }
                 Message::Completion {
